@@ -5,7 +5,9 @@
 //! allocations per call cost mmap round-trips and page faults. A
 //! thread-local [`Workspace`] keeps those buffers hot across candidates —
 //! each rayon worker owns its own arena, so parallel scoring stays
-//! deterministic and lock-free. The NTK and linear-region evaluators share
+//! deterministic and lock-free, and because the pool's workers persist for
+//! the whole process, a worker's arena stays warm from one parallel map to
+//! the next, not just within one. The NTK and linear-region evaluators share
 //! one arena per thread, so buffers stay warm across *both* halves of every
 //! candidate evaluation; [`Workspace::reset_if_larger_than`] on the way out
 //! stops one huge probe geometry from pinning peak memory for the rest of

@@ -19,7 +19,7 @@ use micronas_suite::core::{
 };
 use micronas_suite::telemetry::{Collector, CountingSink, NullSink, TelemetrySink};
 use rayon::ThreadPoolBuilder;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// `SweepReport::identity_fingerprint` of `run_paper_sweep(tiny_test,
 /// tiny)` — the same pin as `tests/paper_identity.rs`.
@@ -27,6 +27,14 @@ const TINY_FINGERPRINT: u64 = 0xa18a_5c02_cac6_7ecd;
 
 /// Serializes the tests that install a process-global telemetry sink.
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`TELEMETRY_LOCK`] even after another test panicked while holding
+/// it, so one failing test does not fail the others.
+fn lock_telemetry() -> MutexGuard<'static, ()> {
+    TELEMETRY_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 fn tiny_fingerprint() -> u64 {
     run_paper_sweep(&MicroNasConfig::tiny_test(), &SweepScale::tiny(), None)
@@ -36,7 +44,7 @@ fn tiny_fingerprint() -> u64 {
 
 #[test]
 fn sweep_fingerprint_is_pinned_under_every_sink_and_thread_count() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let _guard = lock_telemetry();
     let sinks: Vec<(&str, Arc<dyn TelemetrySink>)> = vec![
         ("NullSink", Arc::new(NullSink)),
         ("Collector", Arc::new(Collector::new())),
@@ -66,7 +74,7 @@ fn sweep_fingerprint_is_pinned_under_every_sink_and_thread_count() {
 /// compiled execution path.
 #[test]
 fn sweep_fingerprint_is_pinned_with_the_graph_pipeline_active() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let _guard = lock_telemetry();
     let config = MicroNasConfig::tiny_test()
         .with_compiler(Some(micronas_suite::graph::CompilerKind::Interpreter));
     let sinks: Vec<(&str, Arc<dyn TelemetrySink>)> = vec![
@@ -98,7 +106,7 @@ fn sweep_fingerprint_is_pinned_with_the_graph_pipeline_active() {
 
 #[test]
 fn counting_sink_proves_probes_fire_while_results_stay_pinned() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let _guard = lock_telemetry();
     let sink = Arc::new(CountingSink::default());
     let scope = micronas_suite::telemetry::install_scoped(sink.clone());
     let fingerprint = tiny_fingerprint();
@@ -113,7 +121,7 @@ fn counting_sink_proves_probes_fire_while_results_stay_pinned() {
 
 #[test]
 fn cache_and_batch_stats_match_untraced_runs_sequential_and_packed() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let _guard = lock_telemetry();
     let run = |width: usize, traced: bool| {
         let mut builder = SearchSession::builder()
             .config(MicroNasConfig::tiny_test())
@@ -153,7 +161,7 @@ fn cache_and_batch_stats_match_untraced_runs_sequential_and_packed() {
 
 #[test]
 fn same_seed_searches_record_byte_identical_event_streams() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let _guard = lock_telemetry();
     let record = |threads: usize| {
         let recorder = Arc::new(EventRecorder::new());
         let session = SearchSession::builder()
@@ -212,7 +220,7 @@ fn same_seed_searches_record_byte_identical_event_streams() {
 
 #[test]
 fn traced_sweep_reports_nonzero_spans_for_every_layer() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let _guard = lock_telemetry();
     let config = MicroNasConfig::tiny_test();
 
     // A persistent store so the store layer's log-append path runs too.
