@@ -14,6 +14,7 @@
 //! (batch-32 NTK on the 16×16 proxy networks) instead.
 
 use micronas::{BatchStats, EvalCacheStats, MicroNasConfig};
+use std::path::{Path, PathBuf};
 
 /// Returns the experiment configuration for benchmark runs.
 ///
@@ -46,7 +47,9 @@ pub fn correlation_sample_size() -> usize {
 }
 
 /// Writes benchmark numbers to the bench JSON directory
-/// (`target/bench-json/<name>.json`), one flat object of numeric fields plus
+/// (`<target>/bench-json/<name>.json`, where `<target>` is
+/// `$CARGO_TARGET_DIR` or else the `target` directory holding the running
+/// binary), one flat object of numeric fields plus
 /// the scale the numbers were measured at. Hand-rolled JSON: the workspace's
 /// `serde` is an offline no-op shim, and a flat `f64` map needs nothing more.
 ///
@@ -68,18 +71,12 @@ pub fn correlation_sample_size() -> usize {
 pub fn write_bench_json<S: AsRef<str>>(
     name: &str,
     fields: &[(S, f64)],
-) -> std::io::Result<std::path::PathBuf> {
-    // Anchor at the workspace target directory: cargo runs benches with the
-    // package directory (not the workspace root) as cwd.
-    let target = std::env::var_os("CARGO_TARGET_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("..")
-                .join("..")
-                .join("target")
-        });
-    let dir = target.join("bench-json");
+) -> std::io::Result<PathBuf> {
+    let exe = std::env::current_exe()?;
+    let dir = bench_json_dir(
+        std::env::var_os("CARGO_TARGET_DIR").map(PathBuf::from),
+        &exe,
+    );
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
 
@@ -115,6 +112,23 @@ pub fn write_bench_json<S: AsRef<str>>(
     body.push_str("\n}\n");
     std::fs::write(&path, body)?;
     Ok(path)
+}
+
+/// The bench JSON directory, resolved at run time so that a copied tree
+/// writes into its own checkout: `$CARGO_TARGET_DIR/bench-json` when the
+/// variable is set, otherwise `bench-json` under the nearest `target`
+/// ancestor of the running binary (cargo builds benches into
+/// `<target>/<profile>/deps/`). A binary outside any `target` directory
+/// falls back to `target/bench-json` under the working directory.
+fn bench_json_dir(cargo_target_dir: Option<PathBuf>, exe: &Path) -> PathBuf {
+    cargo_target_dir
+        .or_else(|| {
+            exe.ancestors()
+                .find(|dir| dir.file_name().is_some_and(|name| name == "target"))
+                .map(Path::to_path_buf)
+        })
+        .unwrap_or_else(|| PathBuf::from("target"))
+        .join("bench-json")
 }
 
 /// Flattens an [`EvalCacheStats`] into the conventional
@@ -230,6 +244,30 @@ mod tests {
         assert!(body.contains("\"beta\": 3.0"));
         assert!(body.trim_end().ends_with('}'));
         std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn bench_json_dir_follows_the_running_binary() {
+        let exe = Path::new("/copy/of/repo/target/release/deps/ntk_engine-0123");
+        assert_eq!(
+            bench_json_dir(None, exe),
+            Path::new("/copy/of/repo/target/bench-json")
+        );
+        // An explicit target directory wins over the binary's location.
+        assert_eq!(
+            bench_json_dir(Some(PathBuf::from("/elsewhere")), exe),
+            Path::new("/elsewhere/bench-json")
+        );
+        // The nearest `target` ancestor, not one further up.
+        let nested = Path::new("/target/work/target/debug/deps/b");
+        assert_eq!(
+            bench_json_dir(None, nested),
+            Path::new("/target/work/target/bench-json")
+        );
+        assert_eq!(
+            bench_json_dir(None, Path::new("/usr/local/bin/bench")),
+            Path::new("target/bench-json")
+        );
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! initialisation. What the proxies *do* need is
 //!
 //! 1. a forward pass through the candidate cell (for ReLU activation
-//!    patterns, i.e. the linear-region count), and
+//!    patterns, i.e. the linear-region count, packed into bits as
+//!    [`SignPatterns`]), and
 //! 2. per-sample gradients of the network output with respect to **all**
 //!    parameters (for the neural-tangent-kernel Gram matrix).
 //!
@@ -43,6 +44,7 @@ mod gradient;
 mod layers;
 mod network;
 mod plan;
+mod signs;
 
 pub use config::ProxyNetworkConfig;
 pub use error::NnError;
@@ -51,6 +53,7 @@ pub use layers::{ConvLayer, LinearLayer};
 pub use network::{
     pack_kernel_stats, CellNetwork, CellNetworkPack, ForwardOutput, PackKernelStats,
 };
+pub use signs::SignPatterns;
 
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, NnError>;

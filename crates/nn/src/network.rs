@@ -1,8 +1,9 @@
 //! The proxy cell network: stem → stacked searched cells → pooling → classifier.
 
+use crate::signs::set_sign_bits;
 use crate::{
     ConvLayer, LinearLayer, NnError, ParameterGradients, PerSampleGradients, ProxyNetworkConfig,
-    Result,
+    Result, SignPatterns,
 };
 use micronas_graph::Compiler;
 use micronas_searchspace::{CellTopology, EdgeId, Operation, NUM_EDGES, NUM_NODES};
@@ -21,7 +22,9 @@ pub struct ForwardOutput {
     pub logits: Tensor,
     /// Pre-ReLU node activations feeding each convolution edge, in
     /// (cell, edge) order. Their sign patterns define the linear region a
-    /// sample falls into.
+    /// sample falls into; callers that only need the signs should use
+    /// [`CellNetworkPack::forward_signs_with`], which packs them into bits
+    /// during the forward pass instead of copying every tensor out.
     pub pre_activations: Vec<Tensor>,
 }
 
@@ -300,6 +303,7 @@ impl CellNetwork {
                                 .as_ref()
                                 .expect("conv edge always has a layer");
                             if collect_pre_activations {
+                                note_pre_activation_copy(&nodes[src]);
                                 pre_activations.push(nodes[src].clone());
                             }
                             let activated = pooled_relu(&nodes[src], workspace);
@@ -481,7 +485,7 @@ impl CellNetwork {
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let sample = extract_sample(batch, i)?;
-            let (trace, _) = self.forward_trace_reference(&sample, workspace)?;
+            let trace = self.forward_trace_reference(&sample, workspace)?;
             let grad_logits = Tensor::ones(Shape::d2(1, self.config.num_classes));
             out.push(self.backward(&trace, &grad_logits, workspace)?);
         }
@@ -495,10 +499,9 @@ impl CellNetwork {
         &self,
         input: &Tensor,
         workspace: &mut Workspace,
-    ) -> Result<(ForwardTrace, Vec<Tensor>)> {
+    ) -> Result<ForwardTrace> {
         self.check_input(input)?;
         let stem_out = self.stem.forward_with(input, workspace)?;
-        let mut pre_activations = Vec::new();
         let mut nodes_per_cell = Vec::with_capacity(self.cells.len());
         let mut x = stem_out.clone();
         for cell in &self.cells {
@@ -520,7 +523,6 @@ impl CellNetwork {
                             let conv = cell.edge_convs[edge.0]
                                 .as_ref()
                                 .expect("conv edge always has a layer");
-                            pre_activations.push(nodes[src].clone());
                             let activated = relu(&nodes[src]);
                             Some(conv.forward_with(&activated, workspace)?)
                         }
@@ -536,14 +538,13 @@ impl CellNetwork {
         }
         let features = global_avg_pool(&x)?;
         let logits = self.classifier.forward(&features)?;
-        let trace = ForwardTrace {
+        Ok(ForwardTrace {
             input: input.clone(),
             stem_out,
             nodes: nodes_per_cell,
             features,
             logits,
-        };
-        Ok((trace, pre_activations))
+        })
     }
 
     /// Parameter offset of each cell's conv edges in the canonical flattened
@@ -834,8 +835,81 @@ impl CellNetwork {
     }
 }
 
+/// What the eager pack forward keeps of each conv edge's pre-ReLU input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PreActivationSink {
+    /// Nothing (the gradient paths).
+    None,
+    /// A float copy of the tensor ([`ForwardOutput::pre_activations`]).
+    Tensors,
+    /// Its sign bits ([`SignPatterns`]), written by the pass that applies
+    /// the edge's ReLU.
+    Signs,
+}
+
+/// The pre-activations one pack member collected under a
+/// [`PreActivationSink`].
+enum PreActivations {
+    None,
+    Tensors(Vec<Tensor>),
+    /// Patterns plus the number of leading bits already written per point.
+    Signs(SignPatterns, usize),
+}
+
+impl PreActivations {
+    /// An empty collection for `net` under `sink`; every node tensor of the
+    /// pass has the shape of `stem_out`.
+    fn new(sink: PreActivationSink, net: &CellNetwork, stem_out: &Tensor) -> Self {
+        match sink {
+            PreActivationSink::None => Self::None,
+            PreActivationSink::Tensors => Self::Tensors(Vec::new()),
+            PreActivationSink::Signs => {
+                let conv_edges: usize = net
+                    .cells
+                    .iter()
+                    .map(|c| c.edge_convs.iter().flatten().count())
+                    .sum();
+                let (points, per_point) = split_batch(stem_out);
+                Self::Signs(SignPatterns::zeroed(points, conv_edges * per_point), 0)
+            }
+        }
+    }
+
+    /// Collects `pre` (a conv edge's pre-ReLU input) and returns `relu(pre)`
+    /// in a pooled buffer.
+    fn relu_collecting(&mut self, pre: &Tensor, workspace: &mut Workspace) -> Tensor {
+        match self {
+            Self::None => pooled_relu(pre, workspace),
+            Self::Tensors(tensors) => {
+                note_pre_activation_copy(pre);
+                tensors.push(pre.clone());
+                pooled_relu(pre, workspace)
+            }
+            Self::Signs(signs, filled) => {
+                let (_, per_point) = split_batch(pre);
+                let mut buf = workspace.take(pre.numel());
+                let chunks = buf
+                    .chunks_exact_mut(per_point)
+                    .zip(pre.data().chunks_exact(per_point));
+                for (point, (out, values)) in chunks.enumerate() {
+                    relu_into(out, values);
+                    set_sign_bits(signs.row_mut(point), *filled, values);
+                }
+                *filled += per_point;
+                Tensor::from_vec(pre.shape().clone(), buf).expect("length matches shape")
+            }
+        }
+    }
+}
+
+/// `(batch size, values per sample)` of an NCHW tensor.
+fn split_batch(t: &Tensor) -> (usize, usize) {
+    let dims = t.shape().dims();
+    (dims[0], dims[1..].iter().product())
+}
+
 /// A forward trace plus the collected pre-ReLU conv inputs of one pack member.
-type TraceAndPreActivations = (ForwardTrace, Vec<Tensor>);
+type TraceAndPreActivations = (ForwardTrace, PreActivations);
 
 /// A pack of [`CellNetwork`]s over *different* cells that share one
 /// `(config, seed, backend)` triple and execute their forward passes in
@@ -972,12 +1046,12 @@ impl CellNetworkPack {
     /// per member — same per-member accumulation order, same kernels —
     /// except that the stem runs once and same-geometry conv edges dispatch
     /// packed. Returns one `(trace, pre_activations)` pair per member, in
-    /// pack order.
+    /// pack order, the second holding what `sink` asked for.
     fn forward_pack_traces(
         &self,
         input: &Tensor,
         workspace: &mut Workspace,
-        collect_pre_activations: bool,
+        sink: PreActivationSink,
     ) -> Result<Vec<TraceAndPreActivations>> {
         let Some(first) = self.networks.first() else {
             return Ok(Vec::new());
@@ -994,7 +1068,11 @@ impl CellNetworkPack {
             let _span = micronas_telemetry::span!("nn.stem_forward");
             first.stem.forward_on(backend, input, workspace)?
         };
-        let mut pre_activations: Vec<Vec<Tensor>> = vec![Vec::new(); pack];
+        let mut pre_activations: Vec<PreActivations> = self
+            .networks
+            .iter()
+            .map(|net| PreActivations::new(sink, net, &stem_out))
+            .collect();
         let mut nodes_per_cell: Vec<Vec<Vec<Tensor>>> =
             (0..pack).map(|_| Vec::with_capacity(num_cells)).collect();
         let mut xs: Vec<Tensor> = (0..pack)
@@ -1055,14 +1133,9 @@ impl CellNetworkPack {
                                 .as_ref()
                                 .is_some_and(|c| c.weight() == conv.weight())
                         }));
-                        if collect_pre_activations {
-                            for &p in bucket {
-                                pre_activations[p].push(nodes[p][src].clone());
-                            }
-                        }
                         let activated: Vec<Tensor> = bucket
                             .iter()
-                            .map(|&p| pooled_relu(&nodes[p][src], workspace))
+                            .map(|&p| pre_activations[p].relu_collecting(&nodes[p][src], workspace))
                             .collect();
                         let inputs: Vec<&Tensor> = activated.iter().collect();
                         let outs = backend.conv2d_forward_packed(
@@ -1072,7 +1145,11 @@ impl CellNetworkPack {
                             workspace,
                         )?;
                         drop(inputs);
-                        note_pack_forward_dispatch(bucket.len());
+                        // A pack of one is solo evaluation (the linear-region
+                        // probe runs solo cells this way): no packed dispatch.
+                        if pack > 1 {
+                            note_pack_forward_dispatch(bucket.len());
+                        }
                         for t in activated {
                             workspace.recycle(t.into_vec());
                         }
@@ -1140,9 +1217,12 @@ impl CellNetworkPack {
                 .map(|net| net.forward_with(input, workspace))
                 .collect();
         }
-        let traces = self.forward_pack_traces(input, workspace, true)?;
+        let traces = self.forward_pack_traces(input, workspace, PreActivationSink::Tensors)?;
         let mut out = Vec::with_capacity(traces.len());
-        for (trace, pre_activations) in traces {
+        for (trace, collected) in traces {
+            let PreActivations::Tensors(pre_activations) = collected else {
+                unreachable!("the tensor sink collects tensors");
+            };
             let logits = trace.logits.clone();
             recycle_trace(trace, workspace);
             out.push(ForwardOutput {
@@ -1151,6 +1231,49 @@ impl CellNetworkPack {
             });
         }
         Ok(out)
+    }
+
+    /// The ReLU sign pattern of every input sample for every member, packed
+    /// into bits by the packed forward pass itself: element `i` equals
+    /// [`SignPatterns::from_pre_activations`] over the `pre_activations` of
+    /// [`CellNetworkPack::forward_with`] member `i`, without copying a
+    /// single pre-activation tensor out. Under a graph compiler each member
+    /// runs its solo compiled forward and packs its pre-activations.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputMismatch`] if the input geometry does not
+    /// match the configuration.
+    pub fn forward_signs_with(
+        &self,
+        input: &Tensor,
+        workspace: &mut Workspace,
+    ) -> Result<Vec<SignPatterns>> {
+        if self.networks.first().is_some_and(|n| n.compiler.is_some()) {
+            let points = input.shape().dims()[0];
+            return self
+                .networks
+                .iter()
+                .map(|net| {
+                    let out = net.forward_with(input, workspace)?;
+                    Ok(SignPatterns::from_pre_activations(
+                        points,
+                        &out.pre_activations,
+                    ))
+                })
+                .collect();
+        }
+        let traces = self.forward_pack_traces(input, workspace, PreActivationSink::Signs)?;
+        Ok(traces
+            .into_iter()
+            .map(|(trace, collected)| {
+                recycle_trace(trace, workspace);
+                let PreActivations::Signs(signs, _) = collected else {
+                    unreachable!("the sign sink collects signs");
+                };
+                signs
+            })
+            .collect())
     }
 
     /// Per-sample gradient matrices for every member from **one packed
@@ -1182,7 +1305,7 @@ impl CellNetworkPack {
                 .map(|net| net.per_sample_gradient_matrix_with(batch, workspace))
                 .collect();
         }
-        let traces = self.forward_pack_traces(batch, workspace, false)?;
+        let traces = self.forward_pack_traces(batch, workspace, PreActivationSink::None)?;
         let n = batch.shape().dims()[0];
         if !self.packed_backward {
             // Forward-only packing (the PR 6 behaviour): solo backward per
@@ -1526,10 +1649,24 @@ fn pooled_copy(t: &Tensor, workspace: &mut Workspace) -> Tensor {
 /// `relu(t)` into a pooled buffer (same values as [`relu`]).
 fn pooled_relu(t: &Tensor, workspace: &mut Workspace) -> Tensor {
     let mut buf = workspace.take(t.numel());
-    for (o, &v) in buf.iter_mut().zip(t.data()) {
+    relu_into(&mut buf, t.data());
+    Tensor::from_vec(t.shape().clone(), buf).expect("length matches shape")
+}
+
+/// `out[i] = relu(values[i])`.
+fn relu_into(out: &mut [f32], values: &[f32]) {
+    for (o, &v) in out.iter_mut().zip(values) {
         *o = if v > 0.0 { v } else { 0.0 };
     }
-    Tensor::from_vec(t.shape().clone(), buf).expect("length matches shape")
+}
+
+/// Counts the bytes of a float pre-activation copied out of a forward pass
+/// (`nn.pre_activation.bytes`).
+pub(crate) fn note_pre_activation_copy(t: &Tensor) {
+    micronas_telemetry::counter_add(
+        "nn.pre_activation.bytes",
+        (t.numel() * std::mem::size_of::<f32>()) as u64,
+    );
 }
 
 /// Returns every pooled buffer of a [`ForwardTrace`] to the workspace so the
@@ -1597,7 +1734,7 @@ fn note_pack_backward_dispatch(members: usize) {
 /// members they served, split by sweep direction.
 ///
 /// A *forward* dispatch is one [`KernelBackend::conv2d_forward_packed`]
-/// bucket; a *backward* dispatch is one packed weight-gradient or packed
+/// bucket of a pack of two or more members; a *backward* dispatch is one packed weight-gradient or packed
 /// input-gradient bucket (the stem's full-width packed backward included).
 /// `members / dispatches` is therefore the measured average pack fill of
 /// each sweep — the number the search-layer fill gauges and batch-stat

@@ -317,6 +317,7 @@ pub(crate) fn forward_graph(
     let mut pre_activations = Vec::new();
     let mut i = 0usize;
     while let Some(t) = outs.take_tensor(&format!("pre{i}")) {
+        crate::network::note_pre_activation_copy(&t);
         pre_activations.push(t);
         i += 1;
     }

@@ -2,7 +2,7 @@
 
 use crate::{ProxyError, Result};
 use micronas_datasets::{DatasetKind, SyntheticDataset};
-use micronas_nn::{CellNetwork, CellNetworkPack, ProxyNetworkConfig};
+use micronas_nn::{CellNetworkPack, ProxyNetworkConfig, SignPatterns};
 use micronas_searchspace::CellTopology;
 use micronas_tensor::{paper_default_backend, KernelBackend, Shape, Tensor};
 use serde::{Deserialize, Serialize};
@@ -95,6 +95,13 @@ impl LinearRegionReport {
 /// along the segment). One plus the crossing count is the number of linear
 /// pieces the segment is cut into — a graded estimator of region density
 /// that preserves the ranking the paper's expressivity indicator provides.
+///
+/// Activation patterns never exist as floats or booleans: the packed
+/// forward pass ([`CellNetworkPack::forward_signs_with`]) writes each probe
+/// point's ReLU signs straight into a row of `u64` words
+/// ([`SignPatterns`]), the crossing count between consecutive points is
+/// XOR + `count_ones` over those rows, and distinct patterns are distinct
+/// rows. Solo evaluation is a pack of one, which is bitwise solo.
 #[derive(Debug, Clone)]
 pub struct LinearRegionEvaluator {
     config: LinearRegionConfig,
@@ -181,25 +188,8 @@ impl LinearRegionEvaluator {
         workspace: &mut micronas_tensor::Workspace,
     ) -> Result<LinearRegionReport> {
         let _span = micronas_telemetry::span!("proxy.linear_regions");
-        self.config.validate()?;
-        let mut net_config = self.config.network;
-        net_config.num_classes = dataset.num_classes().min(16);
-        let mut net = CellNetwork::with_backend(&cell, &net_config, seed, self.backend.clone())?;
-        if let Some(compiler) = &self.compiler {
-            net = net.with_compiler(Arc::clone(compiler));
-        }
-        let data = SyntheticDataset::new(dataset, seed);
-
-        let mut acc = RegionAccumulator::default();
-        for segment in 0..self.config.num_segments {
-            // Two endpoint batches of one sample each.
-            let endpoints =
-                data.sample_batch_with_stream(2, net_config.input_resolution, segment as u64)?;
-            let points = self.interpolate(&endpoints.images, self.config.points_per_segment)?;
-            let output = net.forward_with(&points, workspace)?;
-            acc.absorb_segment(&output.pre_activations, self.config.points_per_segment);
-        }
-        Ok(acc.finish(self.config.num_segments))
+        let mut reports = self.evaluate_cells(&[cell], dataset, seed, workspace)?;
+        Ok(reports.remove(0))
     }
 
     /// Cross-candidate mega-batched evaluation: every cell probes the
@@ -221,11 +211,24 @@ impl LinearRegionEvaluator {
         seed: u64,
         workspace: &mut micronas_tensor::Workspace,
     ) -> Result<Vec<LinearRegionReport>> {
+        let _span = micronas_telemetry::span!("proxy.linear_regions.pack");
+        self.evaluate_cells(cells, dataset, seed, workspace)
+    }
+
+    /// The probe shared by [`LinearRegionEvaluator::evaluate_in`] (a pack of
+    /// one) and [`LinearRegionEvaluator::evaluate_pack_in`], outside their
+    /// telemetry spans.
+    fn evaluate_cells(
+        &self,
+        cells: &[CellTopology],
+        dataset: DatasetKind,
+        seed: u64,
+        workspace: &mut micronas_tensor::Workspace,
+    ) -> Result<Vec<LinearRegionReport>> {
         self.config.validate()?;
         if cells.is_empty() {
             return Ok(Vec::new());
         }
-        let _span = micronas_telemetry::span!("proxy.linear_regions.pack");
         let mut net_config = self.config.network;
         net_config.num_classes = dataset.num_classes().min(16);
         let mut pack =
@@ -238,12 +241,13 @@ impl LinearRegionEvaluator {
         let mut accs: Vec<RegionAccumulator> =
             cells.iter().map(|_| RegionAccumulator::default()).collect();
         for segment in 0..self.config.num_segments {
+            // Two endpoint batches of one sample each.
             let endpoints =
                 data.sample_batch_with_stream(2, net_config.input_resolution, segment as u64)?;
             let points = self.interpolate(&endpoints.images, self.config.points_per_segment)?;
-            let outputs = pack.forward_with(&points, workspace)?;
-            for (acc, output) in accs.iter_mut().zip(&outputs) {
-                acc.absorb_segment(&output.pre_activations, self.config.points_per_segment);
+            let signs = pack.forward_signs_with(&points, workspace)?;
+            for (acc, signs) in accs.iter_mut().zip(signs) {
+                acc.absorb_segment(signs);
             }
         }
         Ok(accs
@@ -277,71 +281,49 @@ impl Default for LinearRegionEvaluator {
     }
 }
 
-/// Per-candidate region counting across probe segments, identical for the
-/// solo and packed paths (both call [`RegionAccumulator::absorb_segment`]
-/// with the same pre-activations, so reports agree bitwise).
+/// Per-candidate region counting across probe segments.
+///
+/// Every segment's patterns have the same bit length (the candidate's ReLU
+/// unit count) and zero padding past it, so comparing word rows is
+/// comparing patterns: the crossing count of two consecutive points is the
+/// popcount of their XOR, and the distinct patterns of the whole probe are
+/// the distinct rows. A ReLU-free candidate has empty rows, hence one
+/// region per segment and one distinct pattern.
 #[derive(Default)]
 struct RegionAccumulator {
     total_regions: usize,
-    all_patterns: HashSet<Vec<bool>>,
     relu_units: usize,
+    segments: Vec<SignPatterns>,
 }
 
 impl RegionAccumulator {
-    fn absorb_segment(&mut self, pre_activations: &[Tensor], points_per_segment: usize) {
-        let patterns = activation_patterns(pre_activations, points_per_segment);
-        self.relu_units = patterns.first().map(|p| p.len()).unwrap_or(0);
-
-        // Count pieces along the segment: 1 + number of ReLU
-        // hyperplane crossings (Hamming distance between consecutive
-        // patterns).
+    fn absorb_segment(&mut self, signs: SignPatterns) {
+        self.relu_units = signs.bits_per_point();
+        // Pieces along the segment: 1 + number of ReLU hyperplane crossings
+        // (Hamming distance between consecutive patterns).
         let mut segment_regions = 1usize;
-        for w in patterns.windows(2) {
-            segment_regions += w[0].iter().zip(w[1].iter()).filter(|(a, b)| a != b).count();
-        }
-        // A network with no ReLU units has a single global linear
-        // region.
-        if self.relu_units == 0 {
-            segment_regions = 1;
+        for point in 1..signs.points() {
+            let crossings: u32 = signs
+                .row(point - 1)
+                .iter()
+                .zip(signs.row(point))
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum();
+            segment_regions += crossings as usize;
         }
         self.total_regions += segment_regions;
-        for p in patterns {
-            self.all_patterns.insert(p);
-        }
+        self.segments.push(signs);
     }
 
     fn finish(self, num_segments: usize) -> LinearRegionReport {
-        let regions_per_segment = self.total_regions as f64 / num_segments as f64;
+        let distinct: HashSet<&[u64]> = self.segments.iter().flat_map(|s| s.rows()).collect();
         LinearRegionReport {
             regions: self.total_regions,
-            regions_per_segment,
-            distinct_patterns: if self.relu_units == 0 {
-                1
-            } else {
-                self.all_patterns.len()
-            },
+            regions_per_segment: self.total_regions as f64 / num_segments as f64,
+            distinct_patterns: distinct.len(),
             relu_units: self.relu_units,
         }
     }
-}
-
-/// Collapses the per-edge pre-activation tensors into one boolean activation
-/// pattern per probe point.
-fn activation_patterns(pre_activations: &[Tensor], num_points: usize) -> Vec<Vec<bool>> {
-    let mut patterns = vec![Vec::new(); num_points];
-    for tensor in pre_activations {
-        let d = tensor.shape().dims();
-        let per_sample: usize = d[1..].iter().product();
-        for (point, pattern) in patterns.iter_mut().enumerate() {
-            let start = point * per_sample;
-            pattern.extend(
-                tensor.data()[start..start + per_sample]
-                    .iter()
-                    .map(|&v| v > 0.0),
-            );
-        }
-    }
-    patterns
 }
 
 #[cfg(test)]

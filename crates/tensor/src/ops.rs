@@ -45,12 +45,6 @@ pub fn relu_backward(input: &Tensor, upstream: &Tensor) -> Tensor {
     Tensor::from_vec(input.shape().clone(), data).expect("same shape as input")
 }
 
-/// Binary activation pattern of a tensor: 1 where the value is strictly
-/// positive, 0 elsewhere. Used by the linear-region counting proxy.
-pub fn activation_pattern(x: &Tensor) -> Vec<bool> {
-    x.data().iter().map(|&v| v > 0.0).collect()
-}
-
 /// Numerically stable softmax over the last axis of a rank-2 tensor
 /// (rows are samples, columns are classes).
 ///
@@ -91,12 +85,6 @@ mod tests {
         let x = Tensor::from_vec(Shape::d1(4), vec![-1.0, 0.0, 1.0, 2.0]).unwrap();
         let g = Tensor::from_vec(Shape::d1(4), vec![10.0, 10.0, 10.0, 10.0]).unwrap();
         assert_eq!(relu_backward(&x, &g).data(), &[0.0, 0.0, 10.0, 10.0]);
-    }
-
-    #[test]
-    fn activation_pattern_thresholds_at_zero() {
-        let x = Tensor::from_vec(Shape::d1(3), vec![-1.0, 0.0, 0.5]).unwrap();
-        assert_eq!(activation_pattern(&x), vec![false, false, true]);
     }
 
     #[test]

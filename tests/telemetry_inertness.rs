@@ -262,3 +262,72 @@ fn traced_sweep_reports_nonzero_spans_for_every_layer() {
     assert!(telemetry.table().contains("strategy.step"));
     assert!(telemetry.to_json().contains("tensor.gemm"));
 }
+
+/// Work counters, not timers, gate the linear-region probe's copy-free
+/// forward: a traced tiny search copies no float pre-activation out of any
+/// forward pass (`nn.pre_activation.bytes` stays 0, its signs are packed in
+/// place), and its exact GEMM and im2col counts reproduce on a rerun while
+/// the outcome matches an untraced run bit for bit. Single-threaded: two
+/// rayon workers that miss on the same architecture both compute it (a
+/// known, unfixed cache race), which would add work to one of the runs.
+#[test]
+fn traced_search_copies_no_pre_activations_and_counts_work_exactly() {
+    let _guard = lock_telemetry();
+    let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    let run = |traced: bool| {
+        let collector = Arc::new(Collector::new());
+        let mut builder = SearchSession::builder().config(MicroNasConfig::tiny_test());
+        if traced {
+            builder = builder.telemetry(collector.clone());
+        }
+        let outcome = pool.install(|| builder.build().unwrap().run_micronas().unwrap());
+        let bits: Vec<u64> = outcome.history.iter().map(|h| h.to_bits()).collect();
+        ((outcome.best.index(), bits), collector.report())
+    };
+    let (traced_outcome, first) = run(true);
+    let (_, second) = run(true);
+    let (plain_outcome, _) = run(false);
+    assert_eq!(
+        traced_outcome, plain_outcome,
+        "telemetry perturbed the search"
+    );
+    assert_eq!(first.counter("nn.pre_activation.bytes"), 0);
+    for name in ["tensor.gemm.calls", "tensor.im2col.bytes"] {
+        assert!(first.counter(name) > 0, "{name} never counted");
+        assert_eq!(first.counter(name), second.counter(name), "{name}");
+    }
+}
+
+/// The counter the gate above reads does fire where float pre-activations
+/// are still copied out: `ForwardOutput::pre_activations` accounts for
+/// every byte it holds.
+#[test]
+fn pre_activation_copies_are_counted() {
+    use micronas_suite::nn::{CellNetworkPack, ProxyNetworkConfig};
+    use micronas_suite::searchspace::SearchSpace;
+    use micronas_suite::tensor::{Shape, Tensor, Workspace};
+
+    let _guard = lock_telemetry();
+    let space = SearchSpace::nas_bench_201();
+    let cells = [space.cell(7_000).unwrap(), space.cell(11_111).unwrap()];
+    let config = ProxyNetworkConfig::tiny(10);
+    let pack = CellNetworkPack::new(&cells, &config, 3).unwrap();
+    let r = config.input_resolution;
+    let input = Tensor::ones(Shape::nchw(2, config.input_channels, r, r));
+    let collector = Arc::new(Collector::new());
+    let scope = micronas_suite::telemetry::install_scoped(collector.clone());
+    let outputs = pack
+        .forward_with(&input, &mut Workspace::default())
+        .unwrap();
+    drop(scope);
+    let copied: usize = outputs
+        .iter()
+        .flat_map(|o| &o.pre_activations)
+        .map(|t| t.numel() * std::mem::size_of::<f32>())
+        .sum();
+    assert!(copied > 0);
+    assert_eq!(
+        collector.report().counter("nn.pre_activation.bytes"),
+        copied as u64
+    );
+}
