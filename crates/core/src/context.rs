@@ -2,9 +2,9 @@ use crate::{BatchStats, EvalCacheStats, MicroNasConfig, Result};
 use micronas_datasets::DatasetKind;
 use micronas_hw::{HardwareConstraints, HardwareEvaluator, HardwareIndicators};
 use micronas_nasbench::SurrogateBenchmark;
-use micronas_proxies::{MetricSet, Proxy, ZeroCostEvaluator, ZeroCostMetrics};
+use micronas_proxies::{MetricSet, Proxy, ZeroCostEvaluator};
 use micronas_searchspace::{Architecture, CellTopology, MacroSkeleton, SearchSpace};
-use micronas_store::{custom_proxy_digest, EvalKey, EvalRecord, EvalStore, GetOrInsertError};
+use micronas_store::{custom_proxy_digest, ArchDigest, EvalKey, EvalRecord, EvalStore, ProxyKind};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One registered pluggable proxy plus its precomputed store identity.
-struct RegisteredProxy {
-    proxy: Arc<dyn Proxy>,
+pub(crate) struct RegisteredProxy {
+    pub(crate) proxy: Arc<dyn Proxy>,
     /// [`custom_proxy_digest`] of `(id, config fingerprint)`, computed once.
     digest: u64,
 }
@@ -23,15 +23,20 @@ struct RegisteredProxy {
 /// hardware budgets and (for baselines and final reporting only) the
 /// surrogate accuracy benchmark.
 ///
-/// # Caching and the shared evaluation store
+/// # Caching
 ///
-/// Candidate evaluations are cached at two levels. The context's own cache
-/// (keyed by architecture index) makes repeated visits during pruning or
-/// evolution free, mirroring how the paper's implementation caches its
-/// per-operation measurements. Optionally, a shared
-/// [`micronas_store::EvalStore`] sits behind it: a content-addressed,
-/// possibly persistent store that other searches — in this process or an
-/// earlier one — may already have warmed (see [`SearchContext::with_store`]).
+/// Every context owns an [`micronas_store::EvalStore`], the one memo keyed
+/// by canonical record: the shared store passed to
+/// [`SearchContext::with_store`] — content-addressed, possibly persistent,
+/// possibly warmed by other searches in this process or an earlier one — or
+/// else a private in-memory store for the configuration's namespace. In
+/// front of it sit two fast paths: a handle cache by architecture index, so
+/// repeated visits during pruning or evolution cost one refcount bump, and
+/// a hardware memo, so warm feasibility checks skip the store. Every
+/// evaluation goes through the resolve, compute and commit phases of
+/// [`crate::BatchedEvaluator`], which computes each canonical record at most
+/// once per context and advances the hit/miss counters in one place (see
+/// [`EvalCacheStats`] for the counting rule).
 ///
 /// # Canonical evaluation
 ///
@@ -40,7 +45,7 @@ struct RegisteredProxy {
 /// [`CellTopology::canonical_form`]). Evaluation is therefore a pure
 /// function of architecture *identity* rather than representation: two
 /// isomorphic cells receive bitwise-identical scores, and results are
-/// bitwise-identical whether the store is enabled, disabled or pre-warmed.
+/// bitwise-identical whether the store is shared, private or pre-warmed.
 ///
 /// # Pluggable proxies
 ///
@@ -48,37 +53,34 @@ struct RegisteredProxy {
 /// be registered ([`SearchContext::with_proxies`], usually via
 /// `SearchSession::builder().proxies(..)`). Each plugin's score joins the
 /// candidate's [`MetricSet`] under the proxy's id and is cached in the
-/// shared store under a `ProxyKind::Custom` key derived from the proxy's
-/// stable identity — adding a proxy never perturbs the built-in records.
+/// store under a `ProxyKind::Custom` key derived from the proxy's stable
+/// identity — adding a proxy never perturbs the built-in records.
 pub struct SearchContext {
     space: SearchSpace,
     dataset: DatasetKind,
     zero_cost: ZeroCostEvaluator,
-    extra_proxies: Vec<RegisteredProxy>,
+    pub(crate) extra_proxies: Vec<RegisteredProxy>,
     hardware: HardwareEvaluator,
     constraints: HardwareConstraints,
     benchmark: SurrogateBenchmark,
     seed: u64,
     ntk_batch: u16,
-    store: Option<Arc<EvalStore>>,
-    /// Full evaluations by architecture index. `Arc`-boxed so a cache hit
-    /// costs one refcount bump inside the critical section — the deep clone
-    /// of the heap-backed [`MetricSet`] happens after the lock is released,
-    /// off the contended path the rayon scoring workers hammer.
-    cache: Mutex<HashMap<usize, Arc<CandidateEvaluation>>>,
-    /// Hardware indicators by canonical digest. An `RwLock` so the warm
-    /// feasibility path — hammered by rayon workers during evolutionary
-    /// population seeding — takes only a shared read lock.
-    hw_cache: RwLock<HashMap<u64, HardwareIndicators>>,
-    evaluations: Mutex<usize>,
+    store: Arc<EvalStore>,
+    /// Full evaluations by architecture index (the handle cache).
+    /// `Arc`-boxed so a hit costs one refcount bump inside the critical
+    /// section, never a deep clone of the heap-backed [`MetricSet`].
+    pub(crate) cache: Mutex<HashMap<usize, Arc<CandidateEvaluation>>>,
+    /// Hardware indicators by canonical digest: the fast path of warm
+    /// feasibility checks, in front of the store.
+    hw_cache: RwLock<HashMap<ArchDigest, HardwareIndicators>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     /// Maximum number of candidates packed into one mega-batched proxy
-    /// sweep (see [`SearchContext::evaluate_pack`]).
+    /// sweep (see [`crate::BatchedEvaluator`]).
     pack_width: usize,
     /// Packed proxy sweeps dispatched to the kernels.
     batch_dispatches: AtomicUsize,
-    /// Candidates submitted through [`SearchContext::evaluate_pack`].
+    /// Candidates submitted through the packed evaluation path.
     batch_packed: AtomicUsize,
     /// Candidates freshly computed inside a packed sweep.
     batch_computed: AtomicUsize,
@@ -116,8 +118,8 @@ pub struct CandidateEvaluation {
 }
 
 impl SearchContext {
-    /// Builds a context for `dataset` from a [`MicroNasConfig`], without a
-    /// shared store (the context still caches privately).
+    /// Builds a context for `dataset` from a [`MicroNasConfig`], backed by a
+    /// private in-memory store.
     ///
     /// # Errors
     ///
@@ -187,6 +189,8 @@ impl SearchContext {
         if let Some(kind) = config.compiler {
             zero_cost = zero_cost.with_compiler(kind.instantiate());
         }
+        let store =
+            store.unwrap_or_else(|| Arc::new(EvalStore::in_memory(config.store_namespace())));
         Ok(Self {
             space: SearchSpace::nas_bench_201(),
             dataset,
@@ -200,7 +204,6 @@ impl SearchContext {
             store,
             cache: Mutex::new(HashMap::new()),
             hw_cache: RwLock::new(HashMap::new()),
-            evaluations: Mutex::new(0),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             pack_width: DEFAULT_PACK_WIDTH,
@@ -268,9 +271,10 @@ impl SearchContext {
         self.extra_proxies.iter().map(|p| p.proxy.id())
     }
 
-    /// The shared evaluation store, if one is attached.
-    pub fn store(&self) -> Option<&Arc<EvalStore>> {
-        self.store.as_ref()
+    /// The evaluation store: the shared one this context was built with, or
+    /// its private in-memory store.
+    pub fn store(&self) -> &Arc<EvalStore> {
+        &self.store
     }
 
     /// The reproducibility seed.
@@ -278,13 +282,13 @@ impl SearchContext {
         self.seed
     }
 
-    /// Number of distinct architectures evaluated so far (cache misses).
+    /// Number of distinct architectures evaluated so far (entries of the
+    /// handle cache).
     pub fn evaluation_count(&self) -> usize {
-        *self.evaluations.lock()
+        self.cache.lock().len()
     }
 
-    /// Snapshot of the hit/miss counters: requests served from the context
-    /// cache or the shared store versus freshly computed proxy passes.
+    /// Snapshot of the hit/miss counters (see [`EvalCacheStats`]).
     pub fn cache_stats(&self) -> EvalCacheStats {
         EvalCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -293,7 +297,7 @@ impl SearchContext {
     }
 
     /// Snapshot of the pack-density counters of the mega-batched evaluation
-    /// path (see [`SearchContext::evaluate_pack`]).
+    /// path (see [`crate::BatchedEvaluator`]).
     ///
     /// The candidate-level counters are private to this context; the
     /// kernel-level forward/backward fill counters are process-wide deltas
@@ -314,367 +318,156 @@ impl SearchContext {
         }
     }
 
-    /// Fetches (or computes) the zero-cost metrics of the canonical cell.
-    fn fetch_zero_cost(&self, canonical: CellTopology) -> Result<ZeroCostMetrics> {
-        let Some(store) = &self.store else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(self
-                .zero_cost
-                .evaluate(canonical, self.dataset, self.seed)?);
-        };
-        let key = EvalKey::zero_cost(&canonical, self.dataset, self.seed, self.ntk_batch);
-        let (record, hit) = store
-            .get_or_try_insert_with(key, || {
-                self.zero_cost
-                    .evaluate(canonical, self.dataset, self.seed)
-                    .map(EvalRecord::ZeroCost)
-            })
-            .map_err(flatten_store_error)?;
-        self.count(hit);
-        record
-            .as_zero_cost()
-            .ok_or_else(|| record_kind_error("zero-cost"))
+    /// The store keys of the records a canonical cell's evaluation needs:
+    /// zero-cost, one per plugin (registration order), hardware — or only
+    /// hardware when not `full`.
+    pub(crate) fn record_keys(
+        &self,
+        canonical: CellTopology,
+        full: bool,
+    ) -> impl Iterator<Item = EvalKey> + '_ {
+        let (dataset, seed) = (self.dataset, self.seed);
+        let proxies = if full { &self.extra_proxies[..] } else { &[] };
+        full.then(|| EvalKey::zero_cost(&canonical, dataset, seed, self.ntk_batch))
+            .into_iter()
+            .chain(
+                proxies
+                    .iter()
+                    .map(move |entry| EvalKey::custom(&canonical, dataset, seed, entry.digest, 0)),
+            )
+            .chain(std::iter::once(EvalKey::hardware(&canonical, dataset)))
     }
 
-    /// Fetches (or computes) one pluggable proxy's score of the canonical
-    /// cell, cached under its `ProxyKind::Custom` store key.
-    fn fetch_custom(&self, canonical: CellTopology, entry: &RegisteredProxy) -> Result<f64> {
-        let Some(store) = &self.store else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(entry.proxy.evaluate(canonical, self.dataset, self.seed)?);
-        };
-        let key = EvalKey::custom(&canonical, self.dataset, self.seed, entry.digest, 0);
-        let (record, hit) = store
-            .get_or_try_insert_with(key, || {
-                entry
-                    .proxy
-                    .evaluate(canonical, self.dataset, self.seed)
-                    .map(EvalRecord::Scalar)
-            })
-            .map_err(flatten_store_error)?;
-        self.count(hit);
-        record
-            .as_scalar()
-            .ok_or_else(|| record_kind_error(entry.proxy.id()))
-    }
-
-    /// Fetches (or computes) the hardware indicators of the canonical cell.
-    fn fetch_hardware(&self, canonical: CellTopology) -> Result<HardwareIndicators> {
-        let digest = micronas_store::ArchDigest::of(&canonical).value();
-        if let Some(hit) = self.hw_cache.read().get(&digest) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(*hit);
+    /// Reads a record without computing it: hardware from the memo first,
+    /// everything from the store.
+    pub(crate) fn lookup(&self, key: &EvalKey) -> Option<EvalRecord> {
+        if key.kind != ProxyKind::Hardware {
+            return self.store.get(key);
         }
-        let indicators = match &self.store {
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.hardware.evaluate(canonical)
-            }
-            Some(store) => {
-                let key = EvalKey::hardware(&canonical, self.dataset);
-                let (record, hit) = store
-                    .get_or_try_insert_with(key, || {
-                        Ok::<_, crate::MicroNasError>(EvalRecord::Hardware(
-                            self.hardware.evaluate(canonical),
-                        ))
-                    })
-                    .map_err(flatten_store_error)?;
-                self.count(hit);
-                record
-                    .as_hardware()
-                    .ok_or_else(|| record_kind_error("hardware"))?
-            }
-        };
-        self.hw_cache.write().insert(digest, indicators);
-        Ok(indicators)
+        if let Some(&hardware) = self.hw_cache.read().get(&key.cell) {
+            return Some(EvalRecord::Hardware(hardware));
+        }
+        let record = self.store.get(key)?;
+        if let Some(hardware) = record.as_hardware() {
+            self.hw_cache.write().insert(key.cell, hardware);
+        }
+        Some(record)
     }
 
-    fn count(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+    /// Computes the record `key` names for its canonical cell. Pure: no
+    /// counter, no cache or store write.
+    pub(crate) fn compute(&self, key: &EvalKey, canonical: CellTopology) -> Result<EvalRecord> {
+        Ok(match key.kind {
+            ProxyKind::ZeroCost { .. } => EvalRecord::ZeroCost(self.zero_cost.evaluate(
+                canonical,
+                self.dataset,
+                self.seed,
+            )?),
+            ProxyKind::Custom { id_digest, .. } => {
+                let entry = self
+                    .extra_proxies
+                    .iter()
+                    .find(|entry| entry.digest == id_digest)
+                    .expect("plugin keys come from registered proxies");
+                EvalRecord::Scalar(entry.proxy.evaluate(canonical, self.dataset, self.seed)?)
+            }
+            ProxyKind::Hardware => EvalRecord::Hardware(self.hardware.evaluate(canonical)),
+            ProxyKind::NtkSpectrum { .. } => unreachable!("slates never key NTK spectra"),
+        })
+    }
+
+    /// Commits a freshly computed record: into the store and, for hardware,
+    /// the memo.
+    pub(crate) fn remember(&self, key: EvalKey, record: &EvalRecord) -> Result<()> {
+        if let Some(hardware) = record.as_hardware() {
+            self.hw_cache.write().insert(key.cell, hardware);
+        }
+        self.store.insert(key, record.clone())?;
+        Ok(())
+    }
+
+    /// Advances the hit/miss counters — called once per settled slate.
+    pub(crate) fn count(&self, hits: usize, misses: usize) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+    }
+
+    /// Advances the pack counters of one slate: `submitted` candidates,
+    /// whose zero-cost misses ran in packs of the given sizes. Publishes the
+    /// fill.
+    pub(crate) fn count_packs(&self, submitted: usize, packs: &[usize]) {
+        self.batch_packed.fetch_add(submitted, Ordering::Relaxed);
+        micronas_telemetry::counter_add("search.pack.candidates", submitted as u64);
+        let Some(&fullest) = packs.iter().max() else {
+            return;
+        };
+        let computed: usize = packs.iter().sum();
+        let width = self.pack_width.max(1);
+        self.batch_dispatches
+            .fetch_add(packs.len(), Ordering::Relaxed);
+        self.batch_computed.fetch_add(computed, Ordering::Relaxed);
+        micronas_telemetry::counter_add("search.pack.dispatches", packs.len() as u64);
+        micronas_telemetry::counter_add("search.pack.computed_candidates", computed as u64);
+        micronas_telemetry::gauge_max(
+            "search.pack.fill_permille",
+            (fullest.min(width) * 1000 / width) as u64,
+        );
+        // Measured kernel-level pack density, split by sweep direction
+        // (permille of pack members per packed dispatch, scaled by the
+        // configured width): a backward gauge lagging the forward one means
+        // the per-sample gradient sweeps only partially merged.
+        let kernel = micronas_nn::pack_kernel_stats().since(&self.kernel_baseline);
+        if kernel.forward_dispatches > 0 {
+            micronas_telemetry::gauge_max(
+                "search.pack.forward_fill_permille",
+                (kernel.forward_fill() * 1000.0 / width as f64) as u64,
+            );
+        }
+        if kernel.backward_dispatches > 0 {
+            micronas_telemetry::gauge_max(
+                "search.pack.backward_fill_permille",
+                (kernel.backward_fill() * 1000.0 / width as f64) as u64,
+            );
         }
     }
 
     /// Evaluates (or retrieves from cache) the zero-cost and hardware
-    /// indicators of a cell.
+    /// indicators of a cell: a slate of one through the resolve, compute
+    /// and commit phases of [`crate::BatchedEvaluator`], without packing.
     ///
     /// Returns a shared handle to the cached record: a warm hit costs one
     /// refcount bump, never a deep copy of the metric set.
     ///
-    /// Safe to call from parallel candidate-scoring workers: the result is a
-    /// pure function of `(architecture identity, dataset, seed)` — proxies
-    /// run on the cell's canonical form — and the evaluation counter only
-    /// advances when a cell enters the cache for the first time, so counts
-    /// are identical regardless of thread count or interleaving.
+    /// The result is a pure function of `(architecture identity, dataset,
+    /// seed)` — proxies run on the cell's canonical form. Because the
+    /// resolve step classifies and counts serially, the counters are
+    /// identical regardless of thread count for every call that goes
+    /// through it; concurrent calls from several threads may each compute
+    /// the same record.
     ///
     /// # Errors
     ///
-    /// Propagates proxy evaluation failures.
+    /// Propagates proxy evaluation failures and store I/O failures.
     pub fn evaluate(&self, cell: CellTopology) -> Result<Arc<CandidateEvaluation>> {
-        let arch = Architecture::from_cell(&self.space, cell);
-        let cached = self.cache.lock().get(&arch.index()).map(Arc::clone);
-        if let Some(hit) = cached {
-            // The unit of the hit/miss counters is one *record* fetch. A
-            // full evaluation fetches one record per proxy family (zero-cost
-            // + hardware + each registered plugin), so a context-cache hit —
-            // which short-circuits all of them — counts them all, keeping
-            // hit rates comparable across cache layers and store modes.
-            self.hits
-                .fetch_add(2 + self.extra_proxies.len(), Ordering::Relaxed);
-            return Ok(hit);
-        }
-        let canonical = cell.canonical_form();
-        let mut metrics = self.fetch_zero_cost(canonical)?.metric_set();
-        for entry in &self.extra_proxies {
-            metrics.insert(entry.proxy.id(), self.fetch_custom(canonical, entry)?);
-        }
-        let hardware = self.fetch_hardware(canonical)?;
-        let feasible = self.constraints.satisfied_by(&hardware);
-        let eval = Arc::new(CandidateEvaluation {
-            arch_index: arch.index(),
-            metrics,
-            hardware,
-            feasible,
-        });
-        // Two workers may race to evaluate the same cell; both compute the
-        // same pure value, but only the first insertion counts it.
-        if self
-            .cache
-            .lock()
-            .insert(arch.index(), Arc::clone(&eval))
-            .is_none()
-        {
-            *self.evaluations.lock() += 1;
-        }
-        Ok(eval)
+        let mut evals = crate::BatchedEvaluator::unpacked(self).evaluate_all(&[cell])?;
+        Ok(evals.pop().expect("a slate of one yields one evaluation"))
     }
 
-    /// Evaluates a group of candidate cells through the cross-candidate
-    /// mega-batched proxy path.
-    ///
-    /// Candidates not already served by the context cache or the shared
-    /// store are deduplicated by canonical form and dispatched as **one**
-    /// packed zero-cost sweep
-    /// ([`ZeroCostEvaluator::evaluate_pack`][zc-pack]), in which
-    /// same-geometry convolutions of different candidates share a single
-    /// wide GEMM per layer. Element `i` of the result is the same shared
-    /// handle [`SearchContext::evaluate`] would have returned for
-    /// `cells[i]`, bitwise identical at every pack width and thread count,
-    /// and the hit/miss/evaluation counters advance exactly as if the
-    /// candidates had been evaluated one at a time in order.
-    ///
-    /// [zc-pack]: micronas_proxies::ZeroCostEvaluator::evaluate_pack
-    ///
-    /// # Errors
-    ///
-    /// Propagates proxy evaluation failures.
-    pub fn evaluate_pack(&self, cells: &[CellTopology]) -> Result<Vec<Arc<CandidateEvaluation>>> {
-        if cells.len() <= 1 {
-            return cells.iter().map(|&cell| self.evaluate(cell)).collect();
-        }
-        self.batch_packed.fetch_add(cells.len(), Ordering::Relaxed);
-        micronas_telemetry::counter_add("search.pack.candidates", cells.len() as u64);
-
-        // Per-candidate resolution state while the pack is in flight.
-        enum Slot {
-            Done(Arc<CandidateEvaluation>),
-            /// Same architecture index as an earlier pack member: shares its
-            /// record, exactly as the sequential loop's context-cache hit
-            /// would.
-            DuplicateOf(usize),
-            Pending {
-                arch_index: usize,
-                canonical: CellTopology,
-                /// Zero-cost metrics probed from the warm store, if any.
-                stored: Option<ZeroCostMetrics>,
-            },
-        }
-
-        let extra = self.extra_proxies.len();
-        let mut slots: Vec<Slot> = Vec::with_capacity(cells.len());
-        let mut first_slot_of: HashMap<usize, usize> = HashMap::new();
-        for (i, &cell) in cells.iter().enumerate() {
-            let arch = Architecture::from_cell(&self.space, cell);
-            let cached = self.cache.lock().get(&arch.index()).map(Arc::clone);
-            if let Some(hit) = cached {
-                self.hits.fetch_add(2 + extra, Ordering::Relaxed);
-                slots.push(Slot::Done(hit));
-                continue;
-            }
-            if let Some(&first) = first_slot_of.get(&arch.index()) {
-                // By the time the sequential loop reached this candidate,
-                // its first occurrence would already sit in the context
-                // cache — count the same hits here.
-                self.hits.fetch_add(2 + extra, Ordering::Relaxed);
-                slots.push(Slot::DuplicateOf(first));
-                continue;
-            }
-            first_slot_of.insert(arch.index(), i);
-            let canonical = cell.canonical_form();
-            // Probe the store *without* inserting, so a warm store keeps
-            // short-circuiting the proxies before any kernel runs. A hit
-            // counts exactly where the sequential path counts it; a probe
-            // miss stays silent — the post-sweep insertion below counts the
-            // miss (or the hit, if another worker races us in).
-            let stored = match &self.store {
-                Some(store) => {
-                    let key =
-                        EvalKey::zero_cost(&canonical, self.dataset, self.seed, self.ntk_batch);
-                    let stored = store.get(&key).and_then(|record| record.as_zero_cost());
-                    if stored.is_some() {
-                        self.count(true);
-                    }
-                    stored
-                }
-                None => None,
-            };
-            slots.push(Slot::Pending {
-                arch_index: arch.index(),
-                canonical,
-                stored,
-            });
-        }
-
-        // Deduplicate the unresolved canonicals and run them through ONE
-        // packed proxy sweep. Evaluation is a pure function of the canonical
-        // form, so isomorphic pack members share one computation.
-        let mut unique: Vec<CellTopology> = Vec::new();
-        let mut unique_index_of: HashMap<u64, usize> = HashMap::new();
-        for slot in &slots {
-            if let Slot::Pending {
-                canonical,
-                stored: None,
-                ..
-            } = slot
-            {
-                let digest = micronas_store::ArchDigest::of(canonical).value();
-                if let std::collections::hash_map::Entry::Vacant(entry) =
-                    unique_index_of.entry(digest)
-                {
-                    entry.insert(unique.len());
-                    unique.push(*canonical);
-                }
-            }
-        }
-        let computed: Vec<ZeroCostMetrics> = if unique.is_empty() {
-            Vec::new()
-        } else {
-            self.batch_dispatches.fetch_add(1, Ordering::Relaxed);
-            self.batch_computed
-                .fetch_add(unique.len(), Ordering::Relaxed);
-            micronas_telemetry::counter_add("search.pack.dispatches", 1);
-            micronas_telemetry::counter_add("search.pack.computed_candidates", unique.len() as u64);
-            micronas_telemetry::gauge_max(
-                "search.pack.fill_permille",
-                (unique.len().min(self.pack_width) * 1000 / self.pack_width.max(1)) as u64,
-            );
-            let metrics = {
-                let _span = micronas_telemetry::span!("search.pack_eval");
-                self.zero_cost
-                    .evaluate_pack(&unique, self.dataset, self.seed)?
-            };
-            // Measured kernel-level pack density, split by sweep direction
-            // (permille of pack members per packed dispatch, scaled by the
-            // configured width): a backward gauge lagging the forward one
-            // means the per-sample gradient sweeps only partially merged.
-            let kernel = micronas_nn::pack_kernel_stats().since(&self.kernel_baseline);
-            if kernel.forward_dispatches > 0 {
-                micronas_telemetry::gauge_max(
-                    "search.pack.forward_fill_permille",
-                    (kernel.forward_fill() * 1000.0 / self.pack_width.max(1) as f64) as u64,
-                );
-            }
-            if kernel.backward_dispatches > 0 {
-                micronas_telemetry::gauge_max(
-                    "search.pack.backward_fill_permille",
-                    (kernel.backward_fill() * 1000.0 / self.pack_width.max(1) as f64) as u64,
-                );
-            }
-            metrics
-        };
-
-        // Resolve every candidate in order; the per-record bookkeeping below
-        // mirrors the sequential path line for line.
-        let mut out: Vec<Arc<CandidateEvaluation>> = Vec::with_capacity(cells.len());
-        for slot in &slots {
-            match slot {
-                Slot::Done(eval) => out.push(Arc::clone(eval)),
-                Slot::DuplicateOf(first) => out.push(Arc::clone(&out[*first])),
-                Slot::Pending {
-                    arch_index,
-                    canonical,
-                    stored,
-                } => {
-                    let zero_cost = match (stored, &self.store) {
-                        (Some(zc), _) => *zc,
-                        (None, None) => {
-                            self.misses.fetch_add(1, Ordering::Relaxed);
-                            let digest = micronas_store::ArchDigest::of(canonical).value();
-                            computed[unique_index_of[&digest]]
-                        }
-                        (None, Some(store)) => {
-                            let digest = micronas_store::ArchDigest::of(canonical).value();
-                            let value = computed[unique_index_of[&digest]];
-                            let key = EvalKey::zero_cost(
-                                canonical,
-                                self.dataset,
-                                self.seed,
-                                self.ntk_batch,
-                            );
-                            let (record, hit) = store
-                                .get_or_try_insert_with(key, || {
-                                    Ok::<_, crate::MicroNasError>(EvalRecord::ZeroCost(value))
-                                })
-                                .map_err(flatten_store_error)?;
-                            self.count(hit);
-                            record
-                                .as_zero_cost()
-                                .ok_or_else(|| record_kind_error("zero-cost"))?
-                        }
-                    };
-                    let mut metrics = zero_cost.metric_set();
-                    for entry in &self.extra_proxies {
-                        metrics.insert(entry.proxy.id(), self.fetch_custom(*canonical, entry)?);
-                    }
-                    let hardware = self.fetch_hardware(*canonical)?;
-                    let feasible = self.constraints.satisfied_by(&hardware);
-                    let eval = Arc::new(CandidateEvaluation {
-                        arch_index: *arch_index,
-                        metrics,
-                        hardware,
-                        feasible,
-                    });
-                    if self
-                        .cache
-                        .lock()
-                        .insert(*arch_index, Arc::clone(&eval))
-                        .is_none()
-                    {
-                        *self.evaluations.lock() += 1;
-                    }
-                    out.push(eval);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The hardware indicators of a cell, served from the caches or the
-    /// shared store when possible. Cheaper than [`SearchContext::evaluate`]
-    /// because no zero-cost proxies run.
+    /// The hardware indicators of a cell, served from the memo or the store
+    /// when possible. Cheaper than [`SearchContext::evaluate`] because no
+    /// zero-cost proxies run.
     ///
     /// # Errors
     ///
     /// Propagates store I/O failures.
     pub fn hardware_indicators(&self, cell: CellTopology) -> Result<HardwareIndicators> {
-        self.fetch_hardware(cell.canonical_form())
+        let mut hardware = crate::BatchedEvaluator::unpacked(self).hardware_all(&[cell])?;
+        Ok(hardware.pop().expect("a slate of one yields one record"))
     }
 
     /// Whether a cell satisfies this context's hardware budgets, using the
-    /// cached/stored hardware indicators. Revisited cells — e.g. mutated
-    /// children that land on an already-scored architecture — hit the store
+    /// memoized/stored hardware indicators. Revisited cells — e.g. mutated
+    /// children that land on an already-scored architecture — hit the memo
     /// instead of paying a fresh hardware pass.
     ///
     /// # Errors
@@ -738,20 +531,9 @@ pub(crate) fn ensure_store_namespace(store: &EvalStore, config: &MicroNasConfig)
     Ok(())
 }
 
-/// Maps a store-layer error (compute failure or log I/O) onto the crate
-/// error type.
-fn flatten_store_error<E: Into<crate::MicroNasError>>(
-    e: GetOrInsertError<E>,
-) -> crate::MicroNasError {
-    match e {
-        GetOrInsertError::Compute(e) => e.into(),
-        GetOrInsertError::Store(e) => e.into(),
-    }
-}
-
 /// A record of an unexpected kind under a typed key — only possible if a
 /// foreign log was forged into the store's namespace.
-fn record_kind_error(expected: &str) -> crate::MicroNasError {
+pub(crate) fn record_kind_error(expected: &str) -> crate::MicroNasError {
     crate::MicroNasError::Store(format!(
         "store returned a record of the wrong kind (expected {expected})"
     ))
@@ -763,7 +545,7 @@ impl std::fmt::Debug for SearchContext {
             .field("dataset", &self.dataset)
             .field("seed", &self.seed)
             .field("cached_evaluations", &self.cache.lock().len())
-            .field("store", &self.store.as_ref().map(|s| s.namespace()))
+            .field("store", &self.store.namespace())
             .finish()
     }
 }
@@ -771,7 +553,7 @@ impl std::fmt::Debug for SearchContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MicroNasConfig;
+    use crate::{BatchedEvaluator, MicroNasConfig};
     use micronas_searchspace::Operation;
 
     #[test]
@@ -1053,17 +835,22 @@ mod tests {
         );
     }
 
-    /// A pack mixing fresh cells, an exact duplicate and an isomorphic twin
-    /// — the shapes the batched strategies submit.
-    fn pack_cells(ctx: &SearchContext) -> Vec<CellTopology> {
-        let base = CellTopology::new([
+    /// An asymmetric cell with a distinct isomorphic twin.
+    fn asymmetric_cell() -> CellTopology {
+        CellTopology::new([
             Operation::NorConv3x3,
             Operation::SkipConnect,
             Operation::None,
             Operation::AvgPool3x3,
             Operation::NorConv1x1,
             Operation::None,
-        ]);
+        ])
+    }
+
+    /// A pack mixing fresh cells, an exact duplicate and an isomorphic twin
+    /// — the shapes the batched strategies submit.
+    fn pack_cells(ctx: &SearchContext) -> Vec<CellTopology> {
+        let base = asymmetric_cell();
         vec![
             ctx.space().cell(5_000).unwrap(),
             base,
@@ -1084,7 +871,9 @@ mod tests {
             .iter()
             .map(|&c| seq_ctx.evaluate(c).unwrap())
             .collect();
-        let packed = pack_ctx.evaluate_pack(&cells).unwrap();
+        let packed = BatchedEvaluator::new(&pack_ctx)
+            .evaluate_all(&cells)
+            .unwrap();
 
         assert_eq!(packed.len(), sequential.len());
         for (i, (s, p)) in sequential.iter().zip(&packed).enumerate() {
@@ -1108,10 +897,10 @@ mod tests {
         let warmer =
             SearchContext::with_store(DatasetKind::Cifar10, &config, store.clone()).unwrap();
         let cells = pack_cells(&warmer);
-        let expected = warmer.evaluate_pack(&cells).unwrap();
+        let expected = BatchedEvaluator::new(&warmer).evaluate_all(&cells).unwrap();
 
         let warm = SearchContext::with_store(DatasetKind::Cifar10, &config, store).unwrap();
-        let packed = warm.evaluate_pack(&cells).unwrap();
+        let packed = BatchedEvaluator::new(&warm).evaluate_all(&cells).unwrap();
         for (s, p) in expected.iter().zip(&packed) {
             assert_eq!(**s, **p);
         }
@@ -1131,17 +920,119 @@ mod tests {
     fn packed_evaluation_handles_degenerate_packs() {
         let config = MicroNasConfig::tiny_test();
         let ctx = SearchContext::new(DatasetKind::Cifar10, &config).unwrap();
-        assert!(ctx.evaluate_pack(&[]).unwrap().is_empty());
+        assert!(BatchedEvaluator::new(&ctx)
+            .evaluate_all(&[])
+            .unwrap()
+            .is_empty());
         let cell = ctx.space().cell(123).unwrap();
-        let one = ctx.evaluate_pack(&[cell]).unwrap();
-        assert_eq!(one.len(), 1);
-        assert_eq!(*one[0], *ctx.evaluate(cell).unwrap());
+        let one = ctx.evaluate(cell).unwrap();
+        assert_eq!(
+            ctx.batch_stats(),
+            SearchContext::new(DatasetKind::Cifar10, &config)
+                .unwrap()
+                .batch_stats(),
+            "one-at-a-time evaluation never packs"
+        );
+        let ctx = ctx.with_pack_width(0);
+        assert_eq!(ctx.pack_width(), 1, "width clamps to 1");
+        let again = BatchedEvaluator::new(&ctx).evaluate_all(&[cell]).unwrap();
+        assert_eq!(*again[0], *one);
         assert_eq!(
             ctx.batch_stats().packed_candidates,
             0,
-            "width-1 packs take the sequential path"
+            "width 1 never packs"
         );
-        assert_eq!(ctx.with_pack_width(0).pack_width(), 1, "width clamps to 1");
+    }
+
+    /// A plugin that counts how often it runs.
+    struct CountingProxy(Arc<AtomicUsize>);
+
+    impl Proxy for CountingProxy {
+        fn id(&self) -> &str {
+            "counting"
+        }
+        fn config_fingerprint(&self) -> u64 {
+            0
+        }
+        fn evaluate_with(
+            &self,
+            cell: CellTopology,
+            _dataset: DatasetKind,
+            _seed: u64,
+            _workspace: &mut micronas_tensor::Workspace,
+        ) -> micronas_proxies::Result<f64> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Ok(micronas_store::ArchDigest::of(&cell).value() as f64)
+        }
+    }
+
+    #[test]
+    fn each_canonical_key_is_computed_once_per_context() {
+        let config = MicroNasConfig::tiny_test();
+        let a = asymmetric_cell();
+        let b = CellTopology::new([
+            Operation::NorConv1x1,
+            Operation::AvgPool3x3,
+            Operation::None,
+            Operation::SkipConnect,
+            Operation::NorConv3x3,
+            Operation::SkipConnect,
+        ]);
+        let twin = |cell: CellTopology| cell.intermediate_swap().unwrap();
+        let slate = [a, a, twin(a), b, twin(b), a];
+        assert_ne!(a.canonical_form(), b.canonical_form());
+        assert!(twin(a) != a && twin(b) != b, "twins are distinct cells");
+
+        // (label, shared store?, pack width or None for one-at-a-time, threads)
+        let mut arms = Vec::new();
+        for shared in [false, true] {
+            for threads in [1usize, 4] {
+                for width in [1usize, 8] {
+                    arms.push((shared, Some(width), threads));
+                }
+            }
+            arms.push((shared, None, 1));
+        }
+        let mut stats = Vec::new();
+        for (shared, width, threads) in arms {
+            let runs = Arc::new(AtomicUsize::new(0));
+            let store = shared.then(|| Arc::new(EvalStore::in_memory(config.store_namespace())));
+            let ctx = SearchContext::with_proxies(
+                DatasetKind::Cifar10,
+                &config,
+                store,
+                vec![Arc::new(CountingProxy(runs.clone()))],
+            )
+            .unwrap()
+            .with_pack_width(width.unwrap_or(1));
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let evals = pool.install(|| match width {
+                Some(_) => BatchedEvaluator::new(&ctx).evaluate_all(&slate).unwrap(),
+                None => slate.iter().map(|&c| ctx.evaluate(c).unwrap()).collect(),
+            });
+            let label = format!("shared {shared}, width {width:?}, {threads} threads");
+            assert_eq!(evals[1].metrics, evals[2].metrics, "{label}");
+            assert_eq!(
+                runs.load(Ordering::Relaxed),
+                2,
+                "{label}: the plugin runs once per distinct canonical key"
+            );
+            stats.push((label, ctx.cache_stats()));
+        }
+        for (label, s) in &stats {
+            assert_eq!(*s, stats[0].1, "{label} vs {}", stats[0].0);
+        }
+        assert_eq!(
+            stats[0].1,
+            EvalCacheStats {
+                hits: 6 * 3 - 6,
+                misses: 6
+            },
+            "2 keys × 3 records computed, everything else shared"
+        );
     }
 
     #[test]

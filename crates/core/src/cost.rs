@@ -17,8 +17,8 @@ pub struct SearchCost {
     pub simulated_gpu_hours: f64,
     /// Number of candidate architectures evaluated.
     pub evaluations: usize,
-    /// Evaluation-cache traffic of the search: requests served from the
-    /// context cache or the shared evaluation store versus freshly computed.
+    /// Evaluation-cache traffic of the search: records obtained without
+    /// computing them versus freshly computed (see [`EvalCacheStats`]).
     pub cache: EvalCacheStats,
     /// Pack-density accounting of the cross-candidate mega-batched
     /// evaluation path (all-zero for searches that never packed).
@@ -27,13 +27,15 @@ pub struct SearchCost {
 
 /// Pack-density accounting for the cross-candidate mega-batched evaluator.
 ///
-/// The batched candidate path ([`crate::BatchedEvaluator`] /
-/// `SearchContext::evaluate_pack`) groups several candidates into one proxy
-/// sweep so same-geometry convolutions share a single wide GEMM dispatch.
-/// These counters record how densely that packing actually ran: how many
-/// packed sweeps were issued, how many candidates rode through them, and how
-/// many of those candidates' proxies were computed fresh inside a sweep (the
-/// rest were served by a cache or the shared store before any kernel ran).
+/// The batched candidate path ([`crate::BatchedEvaluator`]) groups the
+/// zero-cost misses of a slate into proxy sweeps so same-geometry
+/// convolutions share a single wide GEMM dispatch. These counters record how
+/// densely that packing actually ran: how many packed sweeps were issued,
+/// how many candidates were submitted to the packed path, and how many of
+/// them had their proxies computed fresh inside a sweep (the rest were
+/// served by a cache, an earlier slate member or the store before any
+/// kernel ran). Width 1 and [`crate::SearchContext::evaluate`] never pack
+/// and leave them at zero.
 /// Like [`EvalCacheStats`], pack density varies with cache and store warmth,
 /// so it lives in the cost record, not in the bitwise-stable outcome parts.
 ///
@@ -58,7 +60,8 @@ pub struct BatchStats {
     /// Candidates submitted through the packed evaluation path.
     pub packed_candidates: usize,
     /// Candidates whose zero-cost proxies were freshly computed inside a
-    /// packed sweep (deduplicated by canonical form before dispatch).
+    /// packed sweep (distinct canonical forms: duplicates and warm hits are
+    /// resolved before planning).
     pub computed_candidates: usize,
     /// The configured maximum pack width (candidates per sweep).
     pub pack_width: usize,
@@ -135,26 +138,34 @@ impl BatchStats {
 
 /// Hit/miss accounting for candidate evaluations.
 ///
-/// The unit counted is one **record fetch**: a full candidate evaluation
-/// requests two records (zero-cost metrics and hardware indicators), a
-/// feasibility check requests one. A **hit** was answered without running
-/// the proxies — by the context's own caches or an attached
-/// [`micronas_store::EvalStore`] (a context-cache hit counts both records it
-/// short-circuits, so rates stay comparable across cache layers). A **miss**
-/// paid for a fresh computation. Cache traffic varies with store warmth (a
-/// pre-warmed store turns every miss into a hit), so these counters live in
-/// the cost record, *not* in the parts of [`crate::SearchOutcome`] that must
-/// stay bitwise identical across store modes.
+/// The unit counted is one **record request**: a full candidate evaluation
+/// requests one zero-cost record, one record per registered plugin and one
+/// hardware record; a feasibility check requests one hardware record.
+///
+/// **Counting rule.** A record is a **hit** when the context got it without
+/// computing it: from its handle cache (which serves every record of an
+/// architecture it evaluated before), from an earlier member of the same
+/// slate with the same canonical key, from its hardware memo, or from its
+/// [`micronas_store::EvalStore`]. It is a **miss** when the context
+/// computed it. So misses count distinct computed records, and hits count
+/// every other request — whether the store is shared, private, cold or
+/// warm. Every request is classified and counted serially by the resolve
+/// step of [`crate::BatchedEvaluator`], so the counts do not depend on the
+/// thread count or the pack width. Cache traffic does vary with store
+/// warmth (a pre-warmed store turns every miss into a hit), so these
+/// counters live in the cost record, *not* in the parts of
+/// [`crate::SearchOutcome`] that must stay bitwise identical across store
+/// modes.
 ///
 /// Deliberately distinct from [`micronas_store::StoreStats`]: that type
 /// counts traffic *at the store*, across every context sharing it; this one
-/// counts requests *of one search*, including those its context's private
-/// caches absorbed before the store ever saw them.
+/// counts requests *of one search*, including those its context's handle
+/// cache and memo absorbed before the store ever saw them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct EvalCacheStats {
-    /// Requests served from a cache or the shared store.
+    /// Records obtained without computing them.
     pub hits: usize,
-    /// Requests that computed fresh proxy or hardware values.
+    /// Records this context computed.
     pub misses: usize,
 }
 

@@ -289,6 +289,17 @@ fn run_sweep_inner(
 mod tests {
     use super::*;
 
+    /// Each record a cold sweep computes is counted as one store miss: the
+    /// resolve step reads every distinct key once, and the commit step
+    /// inserts without reading again.
+    #[test]
+    fn cold_sweep_counts_one_store_miss_per_stored_record() {
+        let config = MicroNasConfig::tiny_test();
+        let store = Arc::new(EvalStore::in_memory(config.store_namespace()));
+        let cold = run_paper_sweep(&config, &SweepScale::tiny(), Some(store.clone())).unwrap();
+        assert_eq!(cold.recomputations(), Some(store.len() as u64));
+    }
+
     #[test]
     fn sweep_is_bitwise_identical_across_store_modes_and_warm_runs_hit_everything() {
         let config = MicroNasConfig::tiny_test();

@@ -282,30 +282,26 @@ impl SearchSessionBuilder {
         if let Some(fabric) = self.fabric {
             config.fabric = Some(fabric);
         }
-        // Joining a fabric needs a store to carry the remote tier; sessions
-        // that did not attach one get a private in-memory store for the
-        // configuration's namespace. `attach_remote` re-checks the
-        // namespace, so a store created for a different configuration is
-        // rejected here rather than serving foreign records.
-        let (store, fabric_tier) = match &config.fabric {
-            Some(fabric_config) => {
-                let namespace = config.store_namespace();
-                let store = self
-                    .store
-                    .unwrap_or_else(|| Arc::new(EvalStore::in_memory(namespace)));
-                let tier = Arc::new(micronas_fabric::RemoteTier::from_config(
-                    namespace,
-                    fabric_config,
-                ));
-                store.attach_remote(Arc::clone(&tier) as Arc<dyn micronas_store::RemoteBackend>)?;
-                (Some(store), Some(tier))
-            }
-            None => (self.store, None),
-        };
-        let mut context = SearchContext::with_proxies(dataset, &config, store, self.proxies)?;
+        let mut context = SearchContext::with_proxies(dataset, &config, self.store, self.proxies)?;
         if let Some(width) = self.pack_width {
             context = context.with_pack_width(width);
         }
+        // Joining a fabric attaches the remote tier to the context's store —
+        // the shared one, or the private in-memory store of sessions that did
+        // not attach one. `attach_remote` re-checks the namespace.
+        let fabric_tier = match &config.fabric {
+            Some(fabric_config) => {
+                let tier = Arc::new(micronas_fabric::RemoteTier::from_config(
+                    config.store_namespace(),
+                    fabric_config,
+                ));
+                context
+                    .store()
+                    .attach_remote(Arc::clone(&tier) as Arc<dyn micronas_store::RemoteBackend>)?;
+                Some(tier)
+            }
+            None => None,
+        };
         Ok(SearchSession {
             context,
             weights: self.weights.unwrap_or_default(),

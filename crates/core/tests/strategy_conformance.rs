@@ -136,7 +136,9 @@ fn mega_batching_does_not_bump_the_store_namespace() {
         .iter()
         .map(|&cell| solo_ctx.evaluate(cell).unwrap())
         .collect();
-    let packed = packed_ctx.evaluate_pack(&cells).unwrap();
+    let packed = micronas::BatchedEvaluator::new(&packed_ctx)
+        .evaluate_all(&cells)
+        .unwrap();
     for (i, (s, p)) in solo.iter().zip(&packed).enumerate() {
         assert_eq!(**s, **p, "store-backed solo vs packed member {i}");
     }

@@ -77,7 +77,7 @@ pub use record::{
     MAX_SPECTRUM_INDICES,
 };
 pub use remote::RemoteBackend;
-pub use store::{EvalStore, GetOrInsertError, StoreOptions, StoreStats};
+pub use store::{EvalStore, StoreOptions, StoreStats};
 
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, StoreError>;

@@ -439,35 +439,6 @@ impl EvalStore {
         Ok(fresh)
     }
 
-    /// Returns the stored record for `key`, computing and inserting it on a
-    /// miss. The closure runs *outside* any lock, so concurrent workers may
-    /// race to compute the same pure value; the first insert wins and the
-    /// value is identical either way. The boolean is `true` on a hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the closure's error on a miss, and log I/O failures.
-    pub fn get_or_try_insert_with<E, F>(
-        &self,
-        key: EvalKey,
-        compute: F,
-    ) -> Result<(EvalRecord, bool), GetOrInsertError<E>>
-    where
-        F: FnOnce() -> Result<EvalRecord, E>,
-    {
-        if let Some(found) = self.lookup(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            micronas_telemetry::counter_add("store.hits", 1);
-            return Ok((found, true));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        micronas_telemetry::counter_add("store.misses", 1);
-        let record = compute().map_err(GetOrInsertError::Compute)?;
-        self.insert(key, record.clone())
-            .map_err(GetOrInsertError::Store)?;
-        Ok((record, false))
-    }
-
     /// Offline compaction of the log at `path`: rewrites it with exactly one
     /// record per live key. The store must not have the file open (this is
     /// an associated function, not a method, to make that explicit — a
@@ -479,16 +450,6 @@ impl EvalStore {
     pub fn compact_path(path: &Path, namespace: u64) -> Result<CompactStats, StoreError> {
         log::compact(path, namespace)
     }
-}
-
-/// Error of [`EvalStore::get_or_try_insert_with`]: either the compute
-/// closure failed or the store could not persist the fresh record.
-#[derive(Debug)]
-pub enum GetOrInsertError<E> {
-    /// The compute closure failed.
-    Compute(E),
-    /// The record was computed but could not be persisted.
-    Store(StoreError),
 }
 
 #[cfg(test)]
@@ -534,32 +495,6 @@ mod tests {
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(store.len(), 1);
         assert!(!store.is_empty());
-    }
-
-    #[test]
-    fn get_or_insert_computes_once() {
-        let store = EvalStore::in_memory(0);
-        let mut calls = 0;
-        let (r1, hit1) = store
-            .get_or_try_insert_with::<(), _>(key(3), || {
-                calls += 1;
-                Ok(record(3.0))
-            })
-            .unwrap();
-        let (r2, hit2) = store
-            .get_or_try_insert_with::<(), _>(key(3), || {
-                calls += 1;
-                Ok(record(99.0))
-            })
-            .unwrap();
-        assert_eq!(calls, 1);
-        assert!(!hit1);
-        assert!(hit2);
-        assert_eq!(r1, r2);
-        // Errors propagate and nothing is inserted.
-        let err = store.get_or_try_insert_with::<&str, _>(key(4), || Err("nope"));
-        assert!(matches!(err, Err(GetOrInsertError::Compute("nope"))));
-        assert_eq!(store.len(), 1);
     }
 
     #[test]
@@ -855,22 +790,19 @@ mod tests {
     }
 
     #[test]
-    fn get_or_insert_reads_through_the_remote() {
+    fn get_reads_through_the_remote() {
         let remote = Arc::new(FakeRemote::default());
         remote.served.lock().insert(key(7), record(7.0));
         let store = EvalStore::in_memory(0);
         store.attach_remote(remote.clone()).unwrap();
-        let (found, hit) = store
-            .get_or_try_insert_with::<(), _>(key(7), || panic!("remote hit must skip compute"))
-            .unwrap();
-        assert!(hit);
-        assert_eq!(found, record(7.0));
-        // A genuine miss computes locally and offers the fresh record back.
-        let (computed, hit) = store
-            .get_or_try_insert_with::<(), _>(key(8), || Ok(record(8.0)))
-            .unwrap();
-        assert!(!hit);
-        assert_eq!(computed, record(8.0));
+        assert_eq!(store.get(&key(7)), Some(record(7.0)));
+        // A genuine miss is computed by the caller and inserted; the fresh
+        // record is offered back to the remote.
+        assert!(store.get(&key(8)).is_none());
+        store.insert(key(8), record(8.0)).unwrap();
+        assert_eq!(store.get(&key(8)), Some(record(8.0)));
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
         assert_eq!(remote.offers.lock().as_slice(), &[key(8)]);
     }
 

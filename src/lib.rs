@@ -101,16 +101,18 @@
 //!
 //! Strategies no longer evaluate candidates one at a time: every shipped
 //! [`core::SearchStrategy`] hands its whole candidate slate to a
-//! [`core::BatchedEvaluator`], whose [`core::SlateScheduler`] plans it
+//! [`core::BatchedEvaluator`]. It first resolves the slate serially
+//! against the context's handle cache and store, reading each distinct
+//! canonical record key once, and counts every hit and miss there. Only
+//! the true misses reach the [`core::SlateScheduler`], which plans them
 //! into packs of up to [`core::SearchContext::pack_width`] cells (default
 //! [`core::DEFAULT_PACK_WIDTH`] = 8, tunable per session via
-//! `SearchSession::builder().pack_width(..)`). Planning looks at the whole
-//! slate, not arrival order: candidates dedup by canonical digest
-//! (duplicates ride in their owner's pack as cache shares), the distinct
-//! ones bucket by geometry signature, and each bucket emits maximal-fill
-//! packs with remainders coalesced — exactly `ceil(owners / width)`
-//! dispatches, with results reassembled in slate order. Each pack then
-//! runs as one fused proxy sweep:
+//! `SearchSession::builder().pack_width(..)`). Planning looks at the
+//! whole slate, not arrival order: the misses bucket by geometry
+//! signature, and each bucket emits maximal-fill packs with remainders
+//! coalesced — exactly `ceil(misses / width)` dispatches, so warm hits
+//! leave no holes in packs. Results are committed and reassembled in
+//! slate order. Each pack then runs as one fused proxy sweep:
 //!
 //! * the probe input batch is built once and shared by the whole pack;
 //! * the shared stem runs **one** forward for all pack members;

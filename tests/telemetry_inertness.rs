@@ -267,9 +267,8 @@ fn traced_sweep_reports_nonzero_spans_for_every_layer() {
 /// forward: a traced tiny search copies no float pre-activation out of any
 /// forward pass (`nn.pre_activation.bytes` stays 0, its signs are packed in
 /// place), and its exact GEMM and im2col counts reproduce on a rerun while
-/// the outcome matches an untraced run bit for bit. Single-threaded: two
-/// rayon workers that miss on the same architecture both compute it (a
-/// known, unfixed cache race), which would add work to one of the runs.
+/// the outcome matches an untraced run bit for bit. Runs on a one-thread
+/// pool.
 #[test]
 fn traced_search_copies_no_pre_activations_and_counts_work_exactly() {
     let _guard = lock_telemetry();
