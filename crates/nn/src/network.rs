@@ -934,10 +934,9 @@ type TraceAndPreActivations = (ForwardTrace, PreActivations);
 /// * **Same-geometry edges merge.** Per (cell, edge), members are
 ///   partitioned by operation and conv members bucketed by kernel size;
 ///   each bucket's ReLU-activated inputs go through a single packed
-///   im2col + GEMM dispatch that is bitwise-identical to per-candidate
-///   dispatch
-///   (the packed kernel falls back to the solo path whenever merging could
-///   change the GEMM schedule).
+///   conv dispatch that is bitwise-identical to per-candidate dispatch
+///   (the packed kernel runs the members image by image on the solo
+///   im2col + GEMM path).
 ///
 /// Backward passes merge too: [`CellNetworkPack::per_sample_gradient_matrices_with`]
 /// runs one lockstep backward sweep over the whole pack, bucketing conv

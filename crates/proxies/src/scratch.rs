@@ -21,9 +21,11 @@ thread_local! {
 }
 
 /// Arena footprint above which the thread workspace is released after an
-/// evaluation. Paper-scale evaluation needs a few tens of MiB; only a
-/// far-out-of-band probe geometry trips this, so ordinary candidate streams
-/// never re-allocate between evaluations. Equals
+/// evaluation. Paper-scale evaluation needs a few MiB (its largest single
+/// request is about 2.3 MiB; the packed conv forward stages one image's
+/// columns at a time); only a far-out-of-band probe geometry trips this,
+/// so ordinary candidate streams never re-allocate between evaluations.
+/// Equals
 /// [`micronas_tensor::DEFAULT_ARENA_RETENTION_CAP`]; backends with a
 /// different working set override it through
 /// [`micronas_tensor::KernelBackend::arena_retention_cap_bytes`] (the

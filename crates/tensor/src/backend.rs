@@ -754,9 +754,9 @@ impl KernelBackend for BlockedGemmBackend {
         spec: Conv2dSpec,
         workspace: &mut Workspace,
     ) -> Result<Vec<Tensor>> {
-        // The packed free function proves its own bitwise-identity contract
-        // (schedule guard + per-candidate fallback), so this override keeps
-        // the paper-default numerics at every pack width.
+        // The packed free function runs every member on the solo im2col +
+        // GEMM path, so this override keeps the paper-default numerics at
+        // every pack width.
         crate::conv::conv2d_forward_packed_pooled(inputs, weight, spec, workspace)
     }
 

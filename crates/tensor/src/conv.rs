@@ -41,7 +41,7 @@
 //! behind batched per-sample gradients for the NTK Gram matrix, with
 //! [`conv2d_backward_weight_per_sample_direct`] as its naive-loop oracle.
 
-use crate::linalg::{gemm_nn, gemm_tn};
+use crate::linalg::{gemm_nn, gemm_nn_uncounted, gemm_tn};
 use crate::{Result, Shape, Tensor, TensorError, Workspace};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -289,74 +289,6 @@ pub(crate) fn im2col(
     }
 }
 
-/// [`im2col`] into a slice of a wider column matrix: lowers one image into
-/// the `oh·ow` columns starting at `col_offset` of a destination whose rows
-/// are `row_stride` elements long. The cross-candidate packed forward uses
-/// this to place several candidates' panels side by side in one tall column
-/// matrix; `im2col(.., col)` is exactly `im2col_strided(.., col, ohow, 0)`.
-/// Every element of the addressed region is written.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn im2col_strided(
-    image: &[f32],
-    c_in: usize,
-    h: usize,
-    w: usize,
-    spec: Conv2dSpec,
-    oh: usize,
-    ow: usize,
-    col: &mut [f32],
-    row_stride: usize,
-    col_offset: usize,
-) {
-    let k = spec.kernel;
-    let ohow = oh * ow;
-    micronas_telemetry::counter_add(
-        "tensor.im2col.bytes",
-        (c_in * k * k * ohow * std::mem::size_of::<f32>()) as u64,
-    );
-    debug_assert!(col_offset + ohow <= row_stride);
-    debug_assert!(col.len() >= (c_in * k * k - 1) * row_stride + col_offset + ohow);
-    for c in 0..c_in {
-        let plane = &image[c * h * w..(c + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (c * k + ky) * k + kx;
-                let dst = &mut col[row * row_stride + col_offset..][..ohow];
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                    let dst_row = &mut dst[oy * ow..(oy + 1) * ow];
-                    if iy < 0 || iy >= h as isize {
-                        dst_row.fill(0.0);
-                        continue;
-                    }
-                    let src_row = &plane[iy as usize * w..(iy as usize + 1) * w];
-                    if spec.stride == 1 {
-                        let shift = kx as isize - spec.padding as isize;
-                        let ox_lo = (-shift).clamp(0, ow as isize) as usize;
-                        let ox_hi = (w as isize - shift).clamp(0, ow as isize) as usize;
-                        dst_row[..ox_lo].fill(0.0);
-                        dst_row[ox_hi..].fill(0.0);
-                        if ox_lo < ox_hi {
-                            let src_lo = (ox_lo as isize + shift) as usize;
-                            dst_row[ox_lo..ox_hi]
-                                .copy_from_slice(&src_row[src_lo..src_lo + (ox_hi - ox_lo)]);
-                        }
-                    } else {
-                        for (ox, out) in dst_row.iter_mut().enumerate() {
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            *out = if ix < 0 || ix >= w as isize {
-                                0.0
-                            } else {
-                                src_row[ix as usize]
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Scatter-adds a `[C·K·K, OH·OW]` column-gradient matrix back into one
 /// image-gradient slice (`[C, H, W]`); the inverse of [`im2col`].
 #[allow(clippy::too_many_arguments)]
@@ -500,30 +432,52 @@ fn conv2d_assign(
         conv2d_direct_unchecked(input, weight, spec, n, c_in, h, w, c_out, oh, ow, &mut out);
         return Ok(out);
     }
+    conv2d_gemm_unchecked(input, weight, spec, workspace, out.data_mut(), gemm_nn);
+    Ok(out)
+}
 
+/// A `gemm_nn`-shaped multiply: [`gemm_nn`], or [`gemm_nn_uncounted`] for a
+/// caller that counts its own logical dispatch.
+type GemmNn = fn(usize, usize, usize, &[f32], &[f32], &mut [f32], bool);
+
+/// GEMM body of the forward conv, image by image: lower the image (a
+/// pointwise conv multiplies the image itself) and multiply it by the
+/// `[C_out, C_in·K·K]` weight matrix into its `[C_out, OH·OW]` slice of
+/// `out`, which is fully overwritten. Arguments have been validated.
+fn conv2d_gemm_unchecked(
+    input: &Tensor,
+    weight: &Tensor,
+    spec: Conv2dSpec,
+    workspace: &mut Workspace,
+    out: &mut [f32],
+    gemm: GemmNn,
+) {
+    let id = input.shape().dims();
+    let (n, c_in, h, w) = (id[0], id[1], id[2], id[3]);
+    let c_out = weight.shape().dims()[0];
+    let k = spec.kernel;
+    let (oh, ow) = spec.output_hw(h, w);
     let ohow = oh * ow;
     let ckk = c_in * k * k;
     let in_stride = c_in * h * w;
     let out_stride = c_out * ohow;
     let w_mat = weight.data(); // [C_out, C_in·K·K], already contiguous.
-    let out_data = out.data_mut();
     if spec.is_pointwise() {
         // The column matrix of a pointwise conv is the image itself.
         for b in 0..n {
             let image = &input.data()[b * in_stride..(b + 1) * in_stride];
-            let dst = &mut out_data[b * out_stride..(b + 1) * out_stride];
-            gemm_nn(c_out, ckk, ohow, w_mat, image, dst, false);
+            let dst = &mut out[b * out_stride..(b + 1) * out_stride];
+            gemm(c_out, ckk, ohow, w_mat, image, dst, false);
         }
-        return Ok(out);
+        return;
     }
     let col = workspace.col_buffer(ckk * ohow);
     for b in 0..n {
         let image = &input.data()[b * in_stride..(b + 1) * in_stride];
         im2col(image, c_in, h, w, spec, oh, ow, col);
-        let dst = &mut out_data[b * out_stride..(b + 1) * out_stride];
-        gemm_nn(c_out, ckk, ohow, w_mat, col, dst, false);
+        let dst = &mut out[b * out_stride..(b + 1) * out_stride];
+        gemm(c_out, ckk, ohow, w_mat, col, dst, false);
     }
-    Ok(out)
 }
 
 /// Direct (naive-loop) forward convolution: the reference implementation.
@@ -587,45 +541,29 @@ pub(crate) fn conv2d_direct_unchecked(
 // Cross-candidate packed forward
 // ---------------------------------------------------------------------------
 
-/// Whether packing several same-geometry convolutions into one wide GEMM is
-/// **bitwise identical** to running them one at a time.
-///
-/// Both GEMM schedules accumulate every output element over `k` in the same
-/// order regardless of the output width, so widening the column panel from
-/// `oh·ow` to `P·n·oh·ow` only changes numerics if it moves the dispatch in
-/// [`gemm_nn`] across the narrow/wide schedule boundary. Merging is safe iff
-/// the solo shape already dispatches to a width-independent decision:
-///
-/// * `ckk ≥ GEMM_DEEP_K` — deep problems use the register-tiled schedule at
-///   any width, or
-/// * `ohow > GEMM_NARROW_N` — the solo GEMM is already on the wide streaming
-///   schedule, and the packed (strictly wider) panel stays there.
-///
-/// Otherwise (`ohow ≤ 32` and `ckk < 64`) the solo GEMM is register-tiled
-/// but the packed one would go wide, so the packed path must fall back to
-/// the per-candidate loop.
-fn pack_preserves_gemm_schedule(ckk: usize, ohow: usize) -> bool {
-    use crate::linalg::{GEMM_DEEP_K, GEMM_NARROW_N};
-    ckk >= GEMM_DEEP_K || ohow > GEMM_NARROW_N
-}
-
 /// Forward convolution of several same-shape inputs against one shared
-/// weight tensor, packed into a single wide GEMM when that is bitwise-safe.
+/// weight tensor, counted as one logical GEMM dispatch.
 ///
 /// This is the cross-candidate mega-batching kernel: N candidates whose
-/// layers share a geometry (`c_in, c_out, kernel, h, w`) have their im2col
-/// panels placed side by side in one tall `[C_in·K·K, N·n·OH·OW]` column
-/// matrix and multiplied in one dispatch, amortising the GEMM setup,
-/// blocking overhead and weight traffic that dominate tiny per-candidate
-/// problems. Output tensors are drawn from the workspace recycling pool
-/// (recycle them like [`conv2d_pooled`] outputs).
+/// layers share a geometry (`c_in, c_out, kernel, h, w`) share one weight
+/// matrix, so their `N·n` images form one logical `[C_out, C_in·K·K] ×
+/// [C_in·K·K, N·n·OH·OW]` product. It is run image by image on the solo
+/// path (lower one image, multiply it straight into its member's output):
+/// one image's column matrix (72 KiB at the paper's 8 channels, 16×16,
+/// conv3×3) stays in cache, while a column panel of the whole bucket
+/// (18 MiB for the paper's largest one) would not. Output tensors are
+/// drawn from the workspace recycling pool (recycle them like
+/// [`conv2d_pooled`] outputs).
 ///
 /// **Bitwise contract:** the result is bit-for-bit identical to calling
-/// [`conv2d_pooled`] once per input. The packed GEMM runs only when the
-/// solo dispatch decisions are provably width-independent (same direct/GEMM
-/// choice — geometry-determined — and same GEMM schedule, see
-/// `pack_preserves_gemm_schedule`); anything else falls back to the
-/// per-candidate loop.
+/// [`conv2d_pooled`] once per input: every image runs the same lowering and
+/// the same `gemm_nn` shape, so the same schedule. The direct/GEMM choice
+/// is made on one candidate's shape, exactly as the solo path makes it, and
+/// a pack of one is the solo path.
+///
+/// Counts one `tensor.gemm.calls` per call (a pack of one, like
+/// [`conv2d_pooled`], counts one per image); each image's multiply is timed
+/// under the `tensor.gemm` span.
 ///
 /// # Errors
 ///
@@ -651,63 +589,31 @@ pub fn conv2d_forward_packed_pooled(
         }
     }
     let (oh, ow) = spec.output_hw(h, w);
-    let ohow = oh * ow;
-    let ckk = c_in * k * k;
-    if inputs.len() == 1
-        || use_direct(n, c_in, c_out, k, oh, ow)
-        || !pack_preserves_gemm_schedule(ckk, ohow)
-    {
-        // Per-candidate oracle path: identical geometry means every input
-        // makes the same dispatch decision the solo path would.
+    if inputs.len() == 1 || use_direct(n, c_in, c_out, k, oh, ow) {
+        // Identical geometry means every input makes the same dispatch
+        // decision the solo path would.
         return inputs
             .iter()
             .map(|input| conv2d_pooled(input, weight, spec, workspace))
             .collect();
     }
 
-    let pack = inputs.len();
-    let total_cols = pack * n * ohow;
-    let in_stride = c_in * h * w;
-    let out_stride = c_out * ohow;
-    // Draw the owned per-candidate outputs from the pool *before* borrowing
-    // the col/aux staging buffers.
-    let mut outs: Vec<Vec<f32>> = (0..pack).map(|_| workspace.take(n * out_stride)).collect();
-    let (col, aux) = workspace.col_and_aux(ckk * total_cols, c_out * total_cols);
-    for (p, input) in inputs.iter().enumerate() {
-        for b in 0..n {
-            let image = &input.data()[b * in_stride..(b + 1) * in_stride];
-            let col_offset = (p * n + b) * ohow;
-            if spec.is_pointwise() {
-                // The column matrix of a pointwise conv is the image itself:
-                // copy its rows into place instead of lowering.
-                for row in 0..ckk {
-                    col[row * total_cols + col_offset..][..ohow]
-                        .copy_from_slice(&image[row * ohow..(row + 1) * ohow]);
-                }
-            } else {
-                im2col_strided(image, c_in, h, w, spec, oh, ow, col, total_cols, col_offset);
-            }
-        }
-    }
-    // One wide dispatch for the whole bucket. `accumulate = false` clears
-    // the destination, so stale pool contents are harmless.
-    gemm_nn(c_out, ckk, total_cols, weight.data(), col, aux, false);
-    // De-interleave the `[C_out, total_cols]` product into per-candidate
-    // `[n, C_out, OH, OW]` tensors.
-    for (p, out) in outs.iter_mut().enumerate() {
-        for b in 0..n {
-            let col_offset = (p * n + b) * ohow;
-            for oc in 0..c_out {
-                out[b * out_stride + oc * ohow..][..ohow]
-                    .copy_from_slice(&aux[oc * total_cols + col_offset..][..ohow]);
-            }
-        }
-    }
+    micronas_telemetry::counter_add("tensor.gemm.calls", 1);
     let shape = Shape::nchw(n, c_out, oh, ow);
-    Ok(outs
-        .into_iter()
-        .map(|data| {
-            Tensor::from_vec(shape.clone(), data).expect("length matches shape by construction")
+    Ok(inputs
+        .iter()
+        .map(|input| {
+            let mut out = Tensor::from_vec(shape.clone(), workspace.take(shape.numel()))
+                .expect("length matches shape by construction");
+            conv2d_gemm_unchecked(
+                input,
+                weight,
+                spec,
+                workspace,
+                out.data_mut(),
+                gemm_nn_uncounted,
+            );
+            out
         })
         .collect())
 }
@@ -1654,7 +1560,7 @@ mod tests {
     /// Packed-vs-solo bitwise identity over one geometry at several pack
     /// widths, under the engine currently in force.
     fn assert_packed_matches_solo(shape: Shape, weight: Tensor, spec: Conv2dSpec, seed: u64) {
-        for width in [1usize, 2, 8] {
+        for width in [1usize, 2, 3, 8] {
             let inputs: Vec<Tensor> = (0..width)
                 .map(|i| random_tensor(shape.clone(), seed + i as u64))
                 .collect();
@@ -1675,28 +1581,34 @@ mod tests {
     fn packed_forward_is_bitwise_solo_across_geometries() {
         let _guard = ENGINE_TEST_LOCK.lock().unwrap();
         set_conv_engine(ConvEngine::Auto);
-        // Merged wide schedule: pointwise, ohow 144 > 32.
+        // Wide schedule, pointwise (the image is its own column matrix):
+        // ohow 144 > 32.
         assert_packed_matches_solo(
             Shape::nchw(2, 6, 12, 12),
             random_tensor(Shape::nchw(6, 6, 1, 1), 40),
             Conv2dSpec::new(1, 1, 0),
             400,
         );
-        // Merged register-tiled schedule: ckk 72 >= 64, ohow 25 <= 32.
+        // Row-band schedule: ckk 72 >= 64, ohow 25 <= 32.
         assert_packed_matches_solo(
             Shape::nchw(2, 8, 5, 5),
             random_tensor(Shape::nchw(8, 8, 3, 3), 41),
             Conv2dSpec::new(3, 1, 1),
             500,
         );
-        // Schedule boundary (ohow <= 32, ckk < 64): solo would be
-        // register-tiled but a pack would go wide — the guard must force the
-        // per-candidate fallback, which is trivially identical.
+        // Narrow and shallow (ohow <= 32, ckk < 64): row-band per image,
+        // though a GEMM over the bucket's columns would dispatch wide.
         assert_packed_matches_solo(
             Shape::nchw(3, 2, 5, 5),
             random_tensor(Shape::nchw(4, 2, 3, 3), 42),
             Conv2dSpec::new(3, 1, 1),
             600,
+        );
+        assert_packed_matches_solo(
+            Shape::nchw(4, 3, 4, 8),
+            random_tensor(Shape::nchw(5, 3, 3, 3), 50),
+            Conv2dSpec::new(3, 1, 1),
+            650,
         );
         // Below the direct-dispatch threshold: per-candidate direct loops.
         assert_packed_matches_solo(
@@ -1705,12 +1617,33 @@ mod tests {
             Conv2dSpec::new(3, 1, 1),
             700,
         );
-        // Strided non-pointwise merge (wide schedule).
+        // Strided non-pointwise (wide schedule), and a strided conv whose
+        // 4×4 output puts it on the narrow row-band schedule.
         assert_packed_matches_solo(
             Shape::nchw(2, 4, 16, 16),
             random_tensor(Shape::nchw(4, 4, 3, 3), 44),
             Conv2dSpec::new(3, 2, 1),
             800,
+        );
+        assert_packed_matches_solo(
+            Shape::nchw(2, 4, 8, 8),
+            random_tensor(Shape::nchw(6, 4, 3, 3), 51),
+            Conv2dSpec::new(3, 2, 1),
+            850,
+        );
+        // Strided 1×1: lowered through im2col, not copied.
+        assert_packed_matches_solo(
+            Shape::nchw(2, 8, 12, 12),
+            random_tensor(Shape::nchw(8, 8, 1, 1), 52),
+            Conv2dSpec::new(1, 2, 0),
+            870,
+        );
+        // Paper geometry (8 channels, 16×16, conv3×3): row-band by depth.
+        assert_packed_matches_solo(
+            Shape::nchw(5, 8, 16, 16),
+            random_tensor(Shape::nchw(8, 8, 3, 3), 53),
+            Conv2dSpec::new(3, 1, 1),
+            950,
         );
     }
 
@@ -1725,7 +1658,7 @@ mod tests {
                 Conv2dSpec::new(1, 1, 0),
                 900,
             );
-            // Boundary geometry stays solo-identical under both pins too.
+            // Narrow, shallow geometry stays solo-identical under both pins.
             assert_packed_matches_solo(
                 Shape::nchw(3, 2, 5, 5),
                 random_tensor(Shape::nchw(4, 2, 3, 3), 46),

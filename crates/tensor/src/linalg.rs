@@ -36,19 +36,13 @@ fn gemm_check(m: usize, k: usize, n: usize, a: usize, b: usize, c: usize) {
 /// Widest `n` routed to the register-tiled kernel: narrow C rows starve the
 /// memory-resident formulation (most of the register file idle), while wide
 /// C rows amortise it and prefer the streaming rank-4 updates.
-///
-/// `pub(crate)` because the packed cross-candidate conv path must prove that
-/// widening a column panel cannot move a GEMM across this schedule boundary
-/// (both schedules accumulate each output element in the same `k` order, so
-/// identity only breaks when solo and packed land on *different* schedules).
-pub(crate) const GEMM_NARROW_N: usize = 32;
+const GEMM_NARROW_N: usize = 32;
 
 /// Smallest `k` routed to the register-tiled kernel even for wide outputs:
 /// past this depth the tiled schedule's B-block reuse (each block read once
 /// per 4-row band instead of once per row) outweighs the streaming
-/// schedule's longer contiguous runs. `pub(crate)` for the same schedule
-/// guard as [`GEMM_NARROW_N`].
-pub(crate) const GEMM_DEEP_K: usize = 64;
+/// schedule's longer contiguous runs.
+const GEMM_DEEP_K: usize = 64;
 
 /// `C = A · B` (or `C += A · B` with `accumulate`), all row-major:
 /// `A` is `[m, k]`, `B` is `[k, n]`, `C` is `[m, n]`.
@@ -75,6 +69,21 @@ pub fn gemm_nn(
     accumulate: bool,
 ) {
     micronas_telemetry::counter_add("tensor.gemm.calls", 1);
+    gemm_nn_uncounted(m, k, n, a, b, c, accumulate);
+}
+
+/// [`gemm_nn`] without its `tensor.gemm.calls` count, for a kernel that
+/// runs one logical dispatch as several products and counts it once. Still
+/// timed under the `tensor.gemm` span.
+pub(crate) fn gemm_nn_uncounted(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    accumulate: bool,
+) {
     let _span = micronas_telemetry::span!("tensor.gemm");
     gemm_check(m, k, n, a.len(), b.len(), c.len());
     if !accumulate {

@@ -216,11 +216,11 @@ impl Workspace {
     ///
     /// Call between heterogeneous work items (e.g. candidates of very
     /// different sizes) to stop one huge shape from pinning peak memory for
-    /// the rest of the run. A single outsized request — such as the tall
-    /// packed column panel of a cross-candidate mega-batch — releases only
-    /// the buffers it bloated; ordinary-sized buffers the steady-state
-    /// workload keeps warm stay in the arena instead of being thrown away
-    /// wholesale. Returns whether anything was released.
+    /// the rest of the run. A single outsized request — such as the column
+    /// panel the packed per-sample backward lowers for a member's whole
+    /// batch — releases only the buffers it bloated; ordinary-sized buffers
+    /// the steady-state workload keeps warm stay in the arena instead of
+    /// being thrown away wholesale. Returns whether anything was released.
     pub fn reset_if_larger_than(&mut self, limit_bytes: usize) -> bool {
         if self.capacity_bytes() <= limit_bytes {
             return false;
@@ -270,12 +270,14 @@ impl Workspace {
         self.watermark = 0;
     }
 
-    /// Records a live request against the watermark.
+    /// Records a live request against the watermark, and reports it to the
+    /// `tensor.workspace.high_water_bytes` gauge on every call: a pool
+    /// worker whose watermark peaked before the current sink was installed
+    /// must still show up in it. Under a disabled sink the report is one
+    /// atomic load.
     fn note(&mut self, bytes: usize) {
-        if bytes > self.watermark {
-            self.watermark = bytes;
-            micronas_telemetry::gauge_max("tensor.workspace.high_water_bytes", bytes as u64);
-        }
+        self.watermark = self.watermark.max(bytes);
+        micronas_telemetry::gauge_max("tensor.workspace.high_water_bytes", bytes as u64);
     }
 }
 
@@ -388,10 +390,10 @@ mod tests {
         ws.recycle(a);
         ws.recycle(b);
         let steady = ws.capacity_bytes();
-        // One wide mega-batch bucket blows the column panel up ~64×.
+        // One outsized geometry blows the column panel up ~64×.
         ws.col_buffer(256 * 1024);
         assert!(ws.capacity_bytes() > steady);
-        // The policy releases the tall panel but must NOT throw away the
+        // The policy releases the outsized panel but must NOT throw away the
         // steady-state buffers with it: the pooled feature maps survive.
         assert!(ws.reset_if_larger_than(steady));
         assert!(
@@ -480,6 +482,29 @@ mod tests {
         // Still correct afterwards.
         assert_eq!(ws.col_buffer(100).len(), 100);
         assert!(ws.take_zeroed(10).iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn every_scoped_collector_sees_the_high_water_request() {
+        use micronas_telemetry::{install_scoped, Collector};
+        use std::sync::Arc;
+        const GAUGE: &str = "tensor.workspace.high_water_bytes";
+        // Other tests run concurrently and may feed the process-global
+        // sink as well, so the check is a lower bound.
+        let len = 777_777;
+        let mut ws = Workspace::new();
+        for round in 0..2 {
+            let collector = Arc::new(Collector::new());
+            {
+                let _scope = install_scoped(collector.clone());
+                ws.col_buffer(len);
+            }
+            assert!(
+                collector.report().gauge(GAUGE) >= (len * BYTES) as u64,
+                "round {round}: the repeated request is missing from the gauge"
+            );
+        }
+        assert_eq!(ws.watermark_bytes(), len * BYTES);
     }
 
     #[test]
