@@ -1,6 +1,6 @@
 //! The proxy cell network: stem → stacked searched cells → pooling → classifier.
 
-use crate::signs::set_sign_bits;
+use crate::signs::{or_sign_bits, set_sign_bits};
 use crate::{
     ConvLayer, LinearLayer, NnError, ParameterGradients, PerSampleGradients, ProxyNetworkConfig,
     Result, SignPatterns,
@@ -45,9 +45,8 @@ struct ForwardTrace {
     /// Node values for every cell: `nodes[cell][node]`.
     nodes: Vec<Vec<Tensor>>,
     /// Input to the classifier (after global average pooling), `[N, C]`.
+    /// The backward of `sum(logits)` needs no logits.
     features: Tensor,
-    /// Classifier logits.
-    logits: Tensor,
 }
 
 /// A concrete, randomly initialised network built from one searched cell.
@@ -255,82 +254,13 @@ impl CellNetwork {
         Ok(())
     }
 
-    /// Runs the forward pass, retaining every node activation for the
-    /// backward pass. All large intermediates come from the workspace
-    /// recycling pool; pair with [`recycle_trace`] so steady-state
-    /// evaluation performs no allocation. `collect_pre_activations` controls
-    /// whether the pre-ReLU conv inputs are copied out (the linear-region
-    /// proxy needs them, the gradient paths do not).
-    fn forward_trace(
-        &self,
-        input: &Tensor,
-        workspace: &mut Workspace,
-        collect_pre_activations: bool,
-    ) -> Result<(ForwardTrace, Vec<Tensor>)> {
-        self.check_input(input)?;
-        let backend = &*self.backend;
-        let stem_out = {
-            let _span = micronas_telemetry::span!("nn.stem_forward");
-            self.stem.forward_on(backend, input, workspace)?
-        };
-        let _edges_span = micronas_telemetry::span!("nn.edge_forward");
-        let mut pre_activations = Vec::new();
-        let mut nodes_per_cell = Vec::with_capacity(self.cells.len());
-        let mut x = pooled_copy(&stem_out, workspace);
-        for cell in &self.cells {
-            let mut nodes: Vec<Tensor> = Vec::with_capacity(NUM_NODES);
-            nodes.push(x);
-            for dst in 1..NUM_NODES {
-                let mut acc = pooled_zeros(nodes[0].shape().clone(), workspace);
-                for edge in EdgeId::all() {
-                    let (src, d) = edge.endpoints();
-                    if d != dst {
-                        continue;
-                    }
-                    let op = self.cell.edge_ops()[edge.0];
-                    match op {
-                        Operation::None => {}
-                        Operation::SkipConnect => {
-                            acc.axpy(1.0, &nodes[src]).map_err(NnError::from)?;
-                        }
-                        Operation::AvgPool3x3 => {
-                            let c = backend.avg_pool2d(&nodes[src], 3, 1, 1, workspace)?;
-                            acc.axpy(1.0, &c).map_err(NnError::from)?;
-                            workspace.recycle(c.into_vec());
-                        }
-                        Operation::NorConv1x1 | Operation::NorConv3x3 => {
-                            let conv = cell.edge_convs[edge.0]
-                                .as_ref()
-                                .expect("conv edge always has a layer");
-                            if collect_pre_activations {
-                                note_pre_activation_copy(&nodes[src]);
-                                pre_activations.push(nodes[src].clone());
-                            }
-                            let activated = pooled_relu(&nodes[src], workspace);
-                            let c = conv.forward_on(backend, &activated, workspace)?;
-                            workspace.recycle(activated.into_vec());
-                            acc.axpy(1.0, &c).map_err(NnError::from)?;
-                            workspace.recycle(c.into_vec());
-                        }
-                    }
-                }
-                nodes.push(acc);
-            }
-            x = pooled_copy(&nodes[NUM_NODES - 1], workspace);
-            nodes_per_cell.push(nodes);
-        }
-        drop(_edges_span);
-        let features = global_avg_pool(&x)?;
-        workspace.recycle(x.into_vec());
-        let logits = self.classifier.forward_on(backend, &features)?;
-        let trace = ForwardTrace {
-            input: pooled_copy(input, workspace),
-            stem_out,
-            nodes: nodes_per_cell,
-            features,
-            logits,
-        };
-        Ok((trace, pre_activations))
+    /// Runs the eager forward pass (a pack of one), retaining every node
+    /// activation for the backward pass. All large intermediates come from
+    /// the workspace recycling pool; pair with [`recycle_trace`] so
+    /// steady-state evaluation performs no allocation.
+    fn forward_trace(&self, input: &Tensor, workspace: &mut Workspace) -> Result<ForwardTrace> {
+        let trace = forward_traces(std::slice::from_ref(self), input, workspace)?.pop();
+        Ok(trace.expect("a pack of one has one trace"))
     }
 
     /// Runs the network on a batch of inputs.
@@ -354,13 +284,17 @@ impl CellNetwork {
             self.check_input(input)?;
             return crate::plan::forward_graph(self, input, workspace, compiler);
         }
-        let (trace, pre_activations) = self.forward_trace(input, workspace, true)?;
-        let logits = trace.logits.clone();
-        recycle_trace(trace, workspace);
-        Ok(ForwardOutput {
-            logits,
-            pre_activations,
-        })
+        match forward_members(
+            std::slice::from_ref(self),
+            input,
+            workspace,
+            PackSink::Tensors,
+        )?
+        .pop()
+        {
+            Some(MemberForward::Output(output)) => Ok(output),
+            _ => unreachable!("the tensor sink returns one output per member"),
+        }
     }
 
     /// Gradient of `sum(logits)` with respect to every parameter, for a batch.
@@ -387,7 +321,7 @@ impl CellNetwork {
         input: &Tensor,
         workspace: &mut Workspace,
     ) -> Result<ParameterGradients> {
-        let (trace, _) = self.forward_trace(input, workspace, false)?;
+        let trace = self.forward_trace(input, workspace)?;
         let batch = input.shape().dims()[0];
         let grad_logits = Tensor::ones(Shape::d2(batch, self.config.num_classes));
         let grads = self.backward(&trace, &grad_logits, workspace)?;
@@ -451,7 +385,7 @@ impl CellNetwork {
             self.check_input(batch)?;
             return crate::plan::per_sample_gradient_matrix_graph(self, batch, workspace, compiler);
         }
-        let (trace, _) = self.forward_trace(batch, workspace, false)?;
+        let trace = self.forward_trace(batch, workspace)?;
         let n = batch.shape().dims()[0];
         let p = self.num_parameters();
         // The matrix buffer comes from the recycling pool: at batch 32 it is
@@ -536,14 +470,11 @@ impl CellNetwork {
             x = nodes[NUM_NODES - 1].clone();
             nodes_per_cell.push(nodes);
         }
-        let features = global_avg_pool(&x)?;
-        let logits = self.classifier.forward(&features)?;
         Ok(ForwardTrace {
             input: input.clone(),
             stem_out,
             nodes: nodes_per_cell,
-            features,
-            logits,
+            features: global_avg_pool(&x)?,
         })
     }
 
@@ -835,35 +766,136 @@ impl CellNetwork {
     }
 }
 
-/// What the eager pack forward keeps of each conv edge's pre-ReLU input.
+/// What the eager pack forward returns for each member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PreActivationSink {
-    /// Nothing (the gradient paths).
-    None,
-    /// A float copy of the tensor ([`ForwardOutput::pre_activations`]).
+enum PackSink {
+    /// A [`ForwardTrace`] (the gradient paths): no classifier forward,
+    /// since the backward of `sum(logits)` needs no logits.
+    Traces,
+    /// Logits plus a float copy of each conv edge's pre-ReLU input
+    /// ([`ForwardOutput`]).
     Tensors,
-    /// Its sign bits ([`SignPatterns`]), written by the pass that applies
-    /// the edge's ReLU.
+    /// The sign bits of each conv edge's pre-ReLU input ([`SignPatterns`]),
+    /// and nothing else: no trace and no classifier.
     Signs,
 }
 
-/// The pre-activations one pack member collected under a
-/// [`PreActivationSink`].
-enum PreActivations {
+/// One member's result of the eager pack forward under a [`PackSink`].
+enum MemberForward {
+    Trace(ForwardTrace),
+    Output(ForwardOutput),
+    Signs(SignPatterns),
+}
+
+/// What feeds a node: at index `src`, the operation and source value id of
+/// the edge from node `src`, or `(None, 0)` where that edge is `None` or
+/// does not exist. Within one cell, two members' nodes with equal keys hold
+/// bitwise-equal values.
+type NodeKey = [(Operation, usize); NUM_NODES - 1];
+
+/// The key of node `dst` of `cell`, given the value ids of its nodes so far.
+fn node_key(cell: &CellTopology, dst: usize, ids: &[usize; NUM_NODES]) -> NodeKey {
+    let mut key = [(Operation::None, 0); NUM_NODES - 1];
+    for edge in EdgeId::all() {
+        let (src, d) = edge.endpoints();
+        let op = cell.edge_ops()[edge.0];
+        if d == dst && op != Operation::None {
+            key[src] = (op, ids[src]);
+        }
+    }
+    key
+}
+
+/// The distinct source value ids of `(value, source)` contributions, in
+/// first-use order.
+fn distinct_sources(contributions: &[(usize, usize)]) -> Vec<usize> {
+    let mut sources: Vec<usize> = Vec::with_capacity(contributions.len());
+    for &(_, id) in contributions {
+        if !sources.contains(&id) {
+            sources.push(id);
+        }
+    }
+    sources
+}
+
+/// One entry of the pack forward's value table: a distinct node tensor,
+/// shared by every member whose node has its key.
+struct Value {
+    /// The node tensor; `None` once recycled.
+    node: Option<Tensor>,
+    /// `relu(node)`, made the first time a conv edge reads the value and
+    /// recycled at the end of its cell.
+    activated: Option<Tensor>,
+    /// The node's sign bits (sign sink only), made in the pass that makes
+    /// `activated`.
+    signs: Option<SignPatterns>,
+}
+
+impl Value {
+    fn new(node: Tensor) -> Self {
+        Self {
+            node: Some(node),
+            activated: None,
+            signs: None,
+        }
+    }
+
+    fn node(&self) -> &Tensor {
+        self.node.as_ref().expect("a live value")
+    }
+
+    /// Makes `relu(node)` (plus its sign bits when `signs` is set) unless
+    /// an earlier conv edge already did.
+    fn activate(&mut self, signs: bool, workspace: &mut Workspace) {
+        if self.activated.is_some() {
+            return;
+        }
+        let node = self.node();
+        let (points, per_point) = split_batch(node);
+        let mut buf = workspace.take(node.numel());
+        let mut pattern = signs.then(|| SignPatterns::zeroed(points, per_point));
+        let chunks = buf
+            .chunks_exact_mut(per_point)
+            .zip(node.data().chunks_exact(per_point));
+        for (point, (out, values)) in chunks.enumerate() {
+            relu_into(out, values);
+            if let Some(pattern) = &mut pattern {
+                set_sign_bits(pattern.row_mut(point), 0, values);
+            }
+        }
+        self.activated =
+            Some(Tensor::from_vec(node.shape().clone(), buf).expect("length matches shape"));
+        self.signs = pattern;
+    }
+
+    /// Returns the value's buffers to the workspace.
+    fn recycle(&mut self, workspace: &mut Workspace) {
+        for t in [self.node.take(), self.activated.take()]
+            .into_iter()
+            .flatten()
+        {
+            workspace.recycle(t.into_vec());
+        }
+        self.signs = None;
+    }
+}
+
+/// The pre-activations one pack member collects, in (cell, edge) order.
+enum Collected {
     None,
     Tensors(Vec<Tensor>),
     /// Patterns plus the number of leading bits already written per point.
     Signs(SignPatterns, usize),
 }
 
-impl PreActivations {
+impl Collected {
     /// An empty collection for `net` under `sink`; every node tensor of the
     /// pass has the shape of `stem_out`.
-    fn new(sink: PreActivationSink, net: &CellNetwork, stem_out: &Tensor) -> Self {
+    fn new(sink: PackSink, net: &CellNetwork, stem_out: &Tensor) -> Self {
         match sink {
-            PreActivationSink::None => Self::None,
-            PreActivationSink::Tensors => Self::Tensors(Vec::new()),
-            PreActivationSink::Signs => {
+            PackSink::Traces => Self::None,
+            PackSink::Tensors => Self::Tensors(Vec::new()),
+            PackSink::Signs => {
                 let conv_edges: usize = net
                     .cells
                     .iter()
@@ -875,28 +907,21 @@ impl PreActivations {
         }
     }
 
-    /// Collects `pre` (a conv edge's pre-ReLU input) and returns `relu(pre)`
-    /// in a pooled buffer.
-    fn relu_collecting(&mut self, pre: &Tensor, workspace: &mut Workspace) -> Tensor {
+    /// Collects `value`, the pre-ReLU input of the member's next conv edge
+    /// (already activated under the sign sink).
+    fn collect(&mut self, value: &Value) {
         match self {
-            Self::None => pooled_relu(pre, workspace),
+            Self::None => {}
             Self::Tensors(tensors) => {
-                note_pre_activation_copy(pre);
-                tensors.push(pre.clone());
-                pooled_relu(pre, workspace)
+                note_pre_activation_copy(value.node());
+                tensors.push(value.node().clone());
             }
             Self::Signs(signs, filled) => {
-                let (_, per_point) = split_batch(pre);
-                let mut buf = workspace.take(pre.numel());
-                let chunks = buf
-                    .chunks_exact_mut(per_point)
-                    .zip(pre.data().chunks_exact(per_point));
-                for (point, (out, values)) in chunks.enumerate() {
-                    relu_into(out, values);
-                    set_sign_bits(signs.row_mut(point), *filled, values);
+                let bits = value.signs.as_ref().expect("activated with its signs");
+                for point in 0..bits.points() {
+                    or_sign_bits(signs.row_mut(point), *filled, bits.row(point));
                 }
-                *filled += per_point;
-                Tensor::from_vec(pre.shape().clone(), buf).expect("length matches shape")
+                *filled += bits.bits_per_point();
             }
         }
     }
@@ -908,8 +933,268 @@ fn split_batch(t: &Tensor) -> (usize, usize) {
     (dims[0], dims[1..].iter().product())
 }
 
-/// A forward trace plus the collected pre-ReLU conv inputs of one pack member.
-type TraceAndPreActivations = (ForwardTrace, PreActivations);
+/// The eager forward of a pack of networks over one `(config, seed,
+/// backend)` triple, in lockstep with exact value numbering: per member it
+/// runs the same kernels in the same accumulation order as that member's
+/// own pass (a pack of one *is* [`CellNetwork`]'s eager forward), but
+/// computes every distinct value once for the whole pack:
+///
+/// * value 0 is the stem output, node 0 of cell 0 for every member;
+/// * node 0 of each later cell is the value of the previous cell's last
+///   node;
+/// * a later node's value is fixed by its [`NodeKey`], so members whose
+///   keys are equal share one value, computed once;
+/// * per edge, each distinct source value is pooled, or ReLU-activated
+///   and convolved, once, and the result is added to every new value it
+///   feeds; same-kernel convs of the edge go through one packed dispatch.
+///
+/// Weights are position-keyed and the packed conv is bitwise solo, so
+/// every shared value is bitwise what each member's own pass computes.
+/// Returns one result per member, in pack order, of the kind `sink`
+/// asks for.
+fn forward_members(
+    networks: &[CellNetwork],
+    input: &Tensor,
+    workspace: &mut Workspace,
+    sink: PackSink,
+) -> Result<Vec<MemberForward>> {
+    let Some(first) = networks.first() else {
+        return Ok(Vec::new());
+    };
+    let _pack_span = micronas_telemetry::span!("nn.pack_forward");
+    first.check_input(input)?;
+    let backend = &*first.backend;
+    let pack = networks.len();
+    let num_cells = first.cells.len();
+
+    // One stem forward for the whole pack: stems are identical (same
+    // seed, same stream) and see the identical input.
+    let stem_out = {
+        let _span = micronas_telemetry::span!("nn.stem_forward");
+        first.stem.forward_on(backend, input, workspace)?
+    };
+    let node_shape = stem_out.shape().clone();
+    let mut collected: Vec<Collected> = networks
+        .iter()
+        .map(|net| Collected::new(sink, net, &stem_out))
+        .collect();
+    let mut values = vec![Value::new(stem_out)];
+    // `ids[p][cell][node]`: the value id of member `p`'s node.
+    let mut ids: Vec<Vec<[usize; NUM_NODES]>> =
+        (0..pack).map(|_| Vec::with_capacity(num_cells)).collect();
+    let mut cell_inputs = vec![0usize; pack];
+
+    for cell_idx in 0..num_cells {
+        let mut cell_ids: Vec<[usize; NUM_NODES]> =
+            cell_inputs.iter().map(|&x| [x; NUM_NODES]).collect();
+        for dst in 1..NUM_NODES {
+            // Number node `dst`: new value `base + v` is the one with
+            // key `keys[v]`, first held by member `reps[v]`.
+            let base = values.len();
+            let mut keys: Vec<NodeKey> = Vec::new();
+            let mut reps: Vec<usize> = Vec::new();
+            for (p, net) in networks.iter().enumerate() {
+                let key = node_key(&net.cell, dst, &cell_ids[p]);
+                let v = keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    keys.push(key);
+                    reps.push(p);
+                    keys.len() - 1
+                });
+                cell_ids[p][dst] = base + v;
+            }
+            let mut accs: Vec<Tensor> = keys
+                .iter()
+                .map(|_| pooled_zeros(node_shape.clone(), workspace))
+                .collect();
+            for edge in EdgeId::all() {
+                let (src, d) = edge.endpoints();
+                if d != dst {
+                    continue;
+                }
+                // Every member collects its conv edges' pre-activations
+                // in (cell, edge) order, and counts towards its bucket's
+                // fill.
+                let mut bucket_members = [0usize; 2];
+                for (p, net) in networks.iter().enumerate() {
+                    let kernel = match net.cell.edge_ops()[edge.0] {
+                        Operation::NorConv1x1 => 0,
+                        Operation::NorConv3x3 => 1,
+                        _ => continue,
+                    };
+                    bucket_members[kernel] += 1;
+                    let value = &mut values[cell_ids[p][src]];
+                    value.activate(sink == PackSink::Signs, workspace);
+                    collected[p].collect(value);
+                }
+                // Each new value's contribution from this edge, as
+                // `(value, source value id)`. A skip accumulates at
+                // once; each value has one op per edge, so its order
+                // across edges stays canonical.
+                let mut pools: Vec<(usize, usize)> = Vec::new();
+                let mut conv_buckets: [Vec<(usize, usize)>; 2] = [Vec::new(), Vec::new()];
+                for (v, key) in keys.iter().enumerate() {
+                    let (op, id) = key[src];
+                    match op {
+                        Operation::None => {}
+                        Operation::SkipConnect => {
+                            accs[v]
+                                .axpy(1.0, values[id].node())
+                                .map_err(NnError::from)?;
+                        }
+                        Operation::AvgPool3x3 => pools.push((v, id)),
+                        Operation::NorConv1x1 => conv_buckets[0].push((v, id)),
+                        Operation::NorConv3x3 => conv_buckets[1].push((v, id)),
+                    }
+                }
+                for id in distinct_sources(&pools) {
+                    let c = backend.avg_pool2d(values[id].node(), 3, 1, 1, workspace)?;
+                    for &(v, _) in pools.iter().filter(|&&(_, s)| s == id) {
+                        accs[v].axpy(1.0, &c).map_err(NnError::from)?;
+                    }
+                    workspace.recycle(c.into_vec());
+                }
+                for (bucket, members) in conv_buckets.iter().zip(bucket_members) {
+                    let Some(&(lead, _)) = bucket.first() else {
+                        continue;
+                    };
+                    let conv = networks[reps[lead]].cells[cell_idx].edge_convs[edge.0]
+                        .as_ref()
+                        .expect("conv edge always has a layer");
+                    // Position-keyed seeding makes every bucket
+                    // member's weight tensor identical to the lead's.
+                    debug_assert!(bucket.iter().all(|&(v, _)| {
+                        networks[reps[v]].cells[cell_idx].edge_convs[edge.0]
+                            .as_ref()
+                            .is_some_and(|c| c.weight() == conv.weight())
+                    }));
+                    let sources = distinct_sources(bucket);
+                    let inputs: Vec<&Tensor> = sources
+                        .iter()
+                        .map(|&id| values[id].activated.as_ref().expect("activated above"))
+                        .collect();
+                    let outs = backend.conv2d_forward_packed(
+                        &inputs,
+                        conv.weight(),
+                        conv.spec(),
+                        workspace,
+                    )?;
+                    // A pack of one is solo evaluation (every solo eager
+                    // forward runs this way): no packed dispatch.
+                    if pack > 1 {
+                        note_pack_forward_dispatch(members);
+                        micronas_telemetry::counter_add(
+                            "nn.pack_forward.shared_inputs",
+                            (members - sources.len()) as u64,
+                        );
+                    }
+                    for (&id, c) in sources.iter().zip(outs) {
+                        for &(v, _) in bucket.iter().filter(|&&(_, s)| s == id) {
+                            accs[v].axpy(1.0, &c).map_err(NnError::from)?;
+                        }
+                        workspace.recycle(c.into_vec());
+                    }
+                }
+            }
+            values.extend(accs.into_iter().map(Value::new));
+        }
+        // Only edges of its own cell read a value, and the last node
+        // (the next cell's input) is read by none of them, so every
+        // activation is dead now. Without traces, so is every node but
+        // the next cell's inputs.
+        cell_inputs = cell_ids.iter().map(|row| row[NUM_NODES - 1]).collect();
+        for (id, value) in values.iter_mut().enumerate() {
+            if sink != PackSink::Traces && !cell_inputs.contains(&id) {
+                value.recycle(workspace);
+            } else if let Some(t) = value.activated.take() {
+                workspace.recycle(t.into_vec());
+                value.signs = None;
+            }
+        }
+        for (member_ids, row) in ids.iter_mut().zip(cell_ids) {
+            member_ids.push(row);
+        }
+    }
+
+    let mut out = Vec::with_capacity(pack);
+    match sink {
+        PackSink::Signs => {
+            for c in collected {
+                let Collected::Signs(signs, _) = c else {
+                    unreachable!("the sign sink collects signs");
+                };
+                out.push(MemberForward::Signs(signs));
+            }
+        }
+        PackSink::Tensors => {
+            for ((net, &last), c) in networks.iter().zip(&cell_inputs).zip(collected) {
+                let Collected::Tensors(pre_activations) = c else {
+                    unreachable!("the tensor sink collects tensors");
+                };
+                let features = global_avg_pool(values[last].node())?;
+                let logits = net.classifier.forward_on(backend, &features)?;
+                out.push(MemberForward::Output(ForwardOutput {
+                    logits,
+                    pre_activations,
+                }));
+            }
+        }
+        PackSink::Traces => {
+            // Each member's trace owns its nodes: the last reference to
+            // a value takes its tensor, earlier ones copy it.
+            let mut refs = vec![0usize; values.len()];
+            for member_ids in &ids {
+                refs[0] += 1;
+                for &id in member_ids.iter().flatten() {
+                    refs[id] += 1;
+                }
+            }
+            let mut take = |id: usize, workspace: &mut Workspace| {
+                refs[id] -= 1;
+                if refs[id] == 0 {
+                    values[id].node.take().expect("a live value")
+                } else {
+                    pooled_copy(values[id].node(), workspace)
+                }
+            };
+            for member_ids in &ids {
+                let stem_out = take(0, workspace);
+                let nodes: Vec<Vec<Tensor>> = member_ids
+                    .iter()
+                    .map(|row| row.iter().map(|&id| take(id, workspace)).collect())
+                    .collect();
+                let last = nodes.last().map_or(&stem_out, |n| &n[NUM_NODES - 1]);
+                let features = global_avg_pool(last)?;
+                out.push(MemberForward::Trace(ForwardTrace {
+                    input: pooled_copy(input, workspace),
+                    stem_out,
+                    nodes,
+                    features,
+                }));
+            }
+        }
+    }
+    for value in &mut values {
+        value.recycle(workspace);
+    }
+    Ok(out)
+}
+
+/// [`forward_members`] under the trace sink.
+fn forward_traces(
+    networks: &[CellNetwork],
+    input: &Tensor,
+    workspace: &mut Workspace,
+) -> Result<Vec<ForwardTrace>> {
+    Ok(
+        forward_members(networks, input, workspace, PackSink::Traces)?
+            .into_iter()
+            .map(|m| match m {
+                MemberForward::Trace(trace) => trace,
+                _ => unreachable!("the trace sink returns traces"),
+            })
+            .collect(),
+    )
+}
 
 /// A pack of [`CellNetwork`]s over *different* cells that share one
 /// `(config, seed, backend)` triple and execute their forward passes in
@@ -919,7 +1204,7 @@ type TraceAndPreActivations = (ForwardTrace, PreActivations);
 ///
 /// This is the network-level substrate of cross-candidate mega-batching:
 /// the zero-cost proxies evaluate many candidate cells against the *same*
-/// probe batch at the *same* seed, which makes three sharing opportunities
+/// probe batch at the *same* seed, which makes four sharing opportunities
 /// exact rather than approximate:
 ///
 /// * **Weights coincide.** The seed streams are position-keyed
@@ -930,13 +1215,21 @@ type TraceAndPreActivations = (ForwardTrace, PreActivations);
 /// * **The stem is shared computation.** All members have identical stems
 ///   and see the identical input, so the stem convolution — usually the
 ///   widest GEMM in a sparse cell — runs once per pack instead of once per
-///   candidate; each trace receives a bitwise copy.
-/// * **Same-geometry edges merge.** Per (cell, edge), members are
-///   partitioned by operation and conv members bucketed by kernel size;
-///   each bucket's ReLU-activated inputs go through a single packed
-///   conv dispatch that is bitwise-identical to per-candidate dispatch
-///   (the packed kernel runs the members image by image on the solo
-///   im2col + GEMM path).
+///   candidate.
+/// * **Equal prefixes are computed once.** By the two points above, a
+///   node's value depends only on the ops of the edges feeding it and on
+///   the values of their sources. The forward numbers every node by that
+///   key and keeps one table of distinct values, so a node that several
+///   members compute alike (as in a pruning slate, where each member
+///   changes one edge of a shared cell) is computed once. Each distinct
+///   source value is ReLU-activated once, with its sign bits in the same
+///   pass, and pooled or convolved once per edge; members receive the
+///   result, and float copies are made only for gradient traces.
+/// * **Same-geometry edges merge.** Per (cell, edge), the distinct inputs
+///   of every same-kernel conv go through a single packed conv dispatch
+///   that is bitwise-identical to per-candidate dispatch (the packed
+///   kernel runs the inputs image by image on the solo im2col + GEMM
+///   path).
 ///
 /// Backward passes merge too: [`CellNetworkPack::per_sample_gradient_matrices_with`]
 /// runs one lockstep backward sweep over the whole pack, bucketing conv
@@ -1041,161 +1334,6 @@ impl CellNetworkPack {
         self.networks.is_empty()
     }
 
-    /// The lockstep pack forward. Mirrors [`CellNetwork::forward_trace`]
-    /// per member — same per-member accumulation order, same kernels —
-    /// except that the stem runs once and same-geometry conv edges dispatch
-    /// packed. Returns one `(trace, pre_activations)` pair per member, in
-    /// pack order, the second holding what `sink` asked for.
-    fn forward_pack_traces(
-        &self,
-        input: &Tensor,
-        workspace: &mut Workspace,
-        sink: PreActivationSink,
-    ) -> Result<Vec<TraceAndPreActivations>> {
-        let Some(first) = self.networks.first() else {
-            return Ok(Vec::new());
-        };
-        let _pack_span = micronas_telemetry::span!("nn.pack_forward");
-        first.check_input(input)?;
-        let backend = &*first.backend;
-        let pack = self.networks.len();
-        let num_cells = first.cells.len();
-
-        // One stem forward for the whole pack: stems are identical (same
-        // seed, same stream) and see the identical input.
-        let stem_out = {
-            let _span = micronas_telemetry::span!("nn.stem_forward");
-            first.stem.forward_on(backend, input, workspace)?
-        };
-        let mut pre_activations: Vec<PreActivations> = self
-            .networks
-            .iter()
-            .map(|net| PreActivations::new(sink, net, &stem_out))
-            .collect();
-        let mut nodes_per_cell: Vec<Vec<Vec<Tensor>>> =
-            (0..pack).map(|_| Vec::with_capacity(num_cells)).collect();
-        let mut xs: Vec<Tensor> = (0..pack)
-            .map(|_| pooled_copy(&stem_out, workspace))
-            .collect();
-
-        for cell_idx in 0..num_cells {
-            let mut nodes: Vec<Vec<Tensor>> = std::mem::take(&mut xs)
-                .into_iter()
-                .map(|x| {
-                    let mut v = Vec::with_capacity(NUM_NODES);
-                    v.push(x);
-                    v
-                })
-                .collect();
-            for dst in 1..NUM_NODES {
-                let mut accs: Vec<Tensor> = nodes
-                    .iter()
-                    .map(|n| pooled_zeros(n[0].shape().clone(), workspace))
-                    .collect();
-                for edge in EdgeId::all() {
-                    let (src, d) = edge.endpoints();
-                    if d != dst {
-                        continue;
-                    }
-                    // Partition members by this edge's operation. Non-conv
-                    // contributions accumulate immediately (each member has
-                    // exactly one op per edge, so per-member order across
-                    // edges stays canonical); conv members bucket by kernel
-                    // size for one packed dispatch per bucket.
-                    let mut conv_buckets: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-                    for (p, net) in self.networks.iter().enumerate() {
-                        match net.cell.edge_ops()[edge.0] {
-                            Operation::None => {}
-                            Operation::SkipConnect => {
-                                accs[p].axpy(1.0, &nodes[p][src]).map_err(NnError::from)?;
-                            }
-                            Operation::AvgPool3x3 => {
-                                let c = backend.avg_pool2d(&nodes[p][src], 3, 1, 1, workspace)?;
-                                accs[p].axpy(1.0, &c).map_err(NnError::from)?;
-                                workspace.recycle(c.into_vec());
-                            }
-                            Operation::NorConv1x1 => conv_buckets[0].push(p),
-                            Operation::NorConv3x3 => conv_buckets[1].push(p),
-                        }
-                    }
-                    for bucket in &conv_buckets {
-                        let Some(&lead) = bucket.first() else {
-                            continue;
-                        };
-                        let conv = self.networks[lead].cells[cell_idx].edge_convs[edge.0]
-                            .as_ref()
-                            .expect("conv edge always has a layer");
-                        // Position-keyed seeding makes every bucket
-                        // member's weight tensor identical to the lead's.
-                        debug_assert!(bucket.iter().all(|&p| {
-                            self.networks[p].cells[cell_idx].edge_convs[edge.0]
-                                .as_ref()
-                                .is_some_and(|c| c.weight() == conv.weight())
-                        }));
-                        let activated: Vec<Tensor> = bucket
-                            .iter()
-                            .map(|&p| pre_activations[p].relu_collecting(&nodes[p][src], workspace))
-                            .collect();
-                        let inputs: Vec<&Tensor> = activated.iter().collect();
-                        let outs = backend.conv2d_forward_packed(
-                            &inputs,
-                            conv.weight(),
-                            conv.spec(),
-                            workspace,
-                        )?;
-                        drop(inputs);
-                        // A pack of one is solo evaluation (the linear-region
-                        // probe runs solo cells this way): no packed dispatch.
-                        if pack > 1 {
-                            note_pack_forward_dispatch(bucket.len());
-                        }
-                        for t in activated {
-                            workspace.recycle(t.into_vec());
-                        }
-                        for (&p, c) in bucket.iter().zip(outs) {
-                            accs[p].axpy(1.0, &c).map_err(NnError::from)?;
-                            workspace.recycle(c.into_vec());
-                        }
-                    }
-                }
-                for (n, acc) in nodes.iter_mut().zip(accs) {
-                    n.push(acc);
-                }
-            }
-            xs = nodes
-                .iter()
-                .map(|n| pooled_copy(&n[NUM_NODES - 1], workspace))
-                .collect();
-            for (per_cell, n) in nodes_per_cell.iter_mut().zip(nodes) {
-                per_cell.push(n);
-            }
-        }
-
-        // Classifier per member: features differ even though weights
-        // coincide, and the GEMM is tiny — packing buys nothing here.
-        let mut out = Vec::with_capacity(pack);
-        for ((net, x), (nodes, pre)) in self
-            .networks
-            .iter()
-            .zip(xs)
-            .zip(nodes_per_cell.into_iter().zip(pre_activations))
-        {
-            let features = global_avg_pool(&x)?;
-            workspace.recycle(x.into_vec());
-            let logits = net.classifier.forward_on(backend, &features)?;
-            let trace = ForwardTrace {
-                input: pooled_copy(input, workspace),
-                stem_out: pooled_copy(&stem_out, workspace),
-                nodes,
-                features,
-                logits,
-            };
-            out.push((trace, pre));
-        }
-        workspace.recycle(stem_out.into_vec());
-        Ok(out)
-    }
-
     /// Runs the packed forward pass on every member; element `i` of the
     /// result is bitwise identical to
     /// [`CellNetwork::forward_with`] on member `i` alone.
@@ -1216,20 +1354,15 @@ impl CellNetworkPack {
                 .map(|net| net.forward_with(input, workspace))
                 .collect();
         }
-        let traces = self.forward_pack_traces(input, workspace, PreActivationSink::Tensors)?;
-        let mut out = Vec::with_capacity(traces.len());
-        for (trace, collected) in traces {
-            let PreActivations::Tensors(pre_activations) = collected else {
-                unreachable!("the tensor sink collects tensors");
-            };
-            let logits = trace.logits.clone();
-            recycle_trace(trace, workspace);
-            out.push(ForwardOutput {
-                logits,
-                pre_activations,
-            });
-        }
-        Ok(out)
+        Ok(
+            forward_members(&self.networks, input, workspace, PackSink::Tensors)?
+                .into_iter()
+                .map(|m| match m {
+                    MemberForward::Output(output) => output,
+                    _ => unreachable!("the tensor sink returns outputs"),
+                })
+                .collect(),
+        )
     }
 
     /// The ReLU sign pattern of every input sample for every member, packed
@@ -1262,17 +1395,15 @@ impl CellNetworkPack {
                 })
                 .collect();
         }
-        let traces = self.forward_pack_traces(input, workspace, PreActivationSink::Signs)?;
-        Ok(traces
-            .into_iter()
-            .map(|(trace, collected)| {
-                recycle_trace(trace, workspace);
-                let PreActivations::Signs(signs, _) = collected else {
-                    unreachable!("the sign sink collects signs");
-                };
-                signs
-            })
-            .collect())
+        Ok(
+            forward_members(&self.networks, input, workspace, PackSink::Signs)?
+                .into_iter()
+                .map(|m| match m {
+                    MemberForward::Signs(signs) => signs,
+                    _ => unreachable!("the sign sink returns signs"),
+                })
+                .collect(),
+        )
     }
 
     /// Per-sample gradient matrices for every member from **one packed
@@ -1304,13 +1435,13 @@ impl CellNetworkPack {
                 .map(|net| net.per_sample_gradient_matrix_with(batch, workspace))
                 .collect();
         }
-        let traces = self.forward_pack_traces(batch, workspace, PreActivationSink::None)?;
+        let traces = forward_traces(&self.networks, batch, workspace)?;
         let n = batch.shape().dims()[0];
         if !self.packed_backward {
             // Forward-only packing (the PR 6 behaviour): solo backward per
             // member. Kept as the measured baseline for the packed sweep.
             let mut out = Vec::with_capacity(traces.len());
-            for (net, (trace, _)) in self.networks.iter().zip(traces) {
+            for (net, trace) in self.networks.iter().zip(traces) {
                 let p = net.num_parameters();
                 let mut matrix = workspace.take_zeroed(n * p);
                 net.backward_per_sample_into(&trace, workspace, &mut matrix)?;
@@ -1319,7 +1450,6 @@ impl CellNetworkPack {
             }
             return Ok(out);
         }
-        let traces: Vec<ForwardTrace> = traces.into_iter().map(|(trace, _)| trace).collect();
         let mut matrices: Vec<Vec<f32>> = self
             .networks
             .iter()
@@ -1669,8 +1799,8 @@ pub(crate) fn note_pre_activation_copy(t: &Tensor) {
 }
 
 /// Returns every pooled buffer of a [`ForwardTrace`] to the workspace so the
-/// next trace reuses it. The classifier-side tensors (`features`, `logits`)
-/// are small and are left to the allocator.
+/// next trace reuses it. The small `features` tensor is left to the
+/// allocator.
 fn recycle_trace(trace: ForwardTrace, workspace: &mut Workspace) {
     workspace.recycle(trace.input.into_vec());
     workspace.recycle(trace.stem_out.into_vec());
@@ -1733,8 +1863,12 @@ fn note_pack_backward_dispatch(members: usize) {
 /// members they served, split by sweep direction.
 ///
 /// A *forward* dispatch is one [`KernelBackend::conv2d_forward_packed`]
-/// bucket of a pack of two or more members; a *backward* dispatch is one packed weight-gradient or packed
-/// input-gradient bucket (the stem's full-width packed backward included).
+/// bucket of a pack of two or more members; it serves every member with
+/// that conv on that edge, including members whose input another member's
+/// equal prefix supplied (those are also counted by the telemetry counter
+/// `nn.pack_forward.shared_inputs`). A *backward* dispatch is one packed
+/// weight-gradient or packed input-gradient bucket (the stem's full-width
+/// packed backward included).
 /// `members / dispatches` is therefore the measured average pack fill of
 /// each sweep — the number the search-layer fill gauges and batch-stat
 /// counters report. Snapshot with [`pack_kernel_stats`] and diff with
@@ -2213,6 +2347,95 @@ mod tests {
             }
         }
         set_conv_engine(ConvEngine::Auto);
+    }
+
+    /// A pruning-style slate: each representative, every single-edge
+    /// variant of it, and the representative again (a duplicate).
+    fn pruning_slate() -> Vec<CellTopology> {
+        use micronas_searchspace::ALL_OPERATIONS;
+        use Operation::{AvgPool3x3, NorConv1x1, NorConv3x3, SkipConnect};
+        let representatives = [
+            CellTopology::new([NorConv3x3; NUM_EDGES]),
+            // Edge 4 (1→3) is `None`, so the variant with `None` on edge 2
+            // (1→2) leaves node 1 dead: computed, but read by nothing. The
+            // variants with `None` on edge 0 give node 1 no input at all.
+            CellTopology::new([
+                NorConv3x3,
+                SkipConnect,
+                NorConv1x1,
+                AvgPool3x3,
+                Operation::None,
+                NorConv3x3,
+            ]),
+        ];
+        let mut slate = Vec::new();
+        for rep in representatives {
+            slate.push(rep);
+            for edge in EdgeId::all() {
+                for op in ALL_OPERATIONS {
+                    if op != rep.edge_ops()[edge.0] {
+                        slate.push(rep.with_op(edge, op).unwrap());
+                    }
+                }
+            }
+            slate.push(rep);
+        }
+        slate
+    }
+
+    /// Value numbering is exact: on pruning-style packs, where most of a
+    /// member's forward equals its neighbours', every entry point returns
+    /// each member's solo result bit for bit, at pack widths 1, 2, 3 and 8
+    /// over two stacked cells (so later cells start from shared and
+    /// unshared inputs) and 108-bit edge tensors (unaligned sign offsets).
+    #[test]
+    fn pruning_slate_packs_are_bitwise_identical_to_solo_members() {
+        let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let slate = pruning_slate();
+        let config = ProxyNetworkConfig {
+            input_resolution: 6,
+            channels: 3,
+            num_cells: 2,
+            ..ProxyNetworkConfig::tiny(10)
+        };
+        let points = 2;
+        let batch = random_batch(&config, points, 61);
+        let mut ws = Workspace::default();
+        let solo: Vec<(ForwardOutput, PerSampleGradients)> = slate
+            .iter()
+            .map(|cell| {
+                let net = CellNetwork::new(cell, &config, 13).unwrap();
+                let out = net.forward_with(&batch, &mut ws).unwrap();
+                let grads = net
+                    .per_sample_gradient_matrix_with(&batch, &mut ws)
+                    .unwrap();
+                (out, grads)
+            })
+            .collect();
+        for width in [1usize, 2, 3, 8] {
+            for (chunk, members) in slate.chunks(width).enumerate() {
+                let pack = CellNetworkPack::new(members, &config, 13).unwrap();
+                let outputs = pack.forward_with(&batch, &mut ws).unwrap();
+                let signs = pack.forward_signs_with(&batch, &mut ws).unwrap();
+                let grads = pack
+                    .per_sample_gradient_matrices_with(&batch, &mut ws)
+                    .unwrap();
+                assert_eq!(outputs.len(), members.len());
+                assert_eq!(signs.len(), members.len());
+                assert_eq!(grads.len(), members.len());
+                for (i, ((out, s), g)) in outputs.iter().zip(&signs).zip(&grads).enumerate() {
+                    let member = chunk * width + i;
+                    let (want_out, want_grads) = &solo[member];
+                    let context = format!("width {width}, slate member {member}");
+                    assert_eq!(out.logits.data(), want_out.logits.data(), "{context}");
+                    assert_eq!(out.pre_activations, want_out.pre_activations, "{context}");
+                    let want_signs =
+                        SignPatterns::from_pre_activations(points, &want_out.pre_activations);
+                    assert_eq!(s, &want_signs, "{context}");
+                    assert_eq!(g.values(), want_grads.values(), "{context}");
+                }
+            }
+        }
     }
 
     /// Per-sample gradient matrices from the pack (packed forward, solo

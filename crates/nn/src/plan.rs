@@ -2,11 +2,13 @@
 //! IR, plus the process-wide compiled-plan cache.
 //!
 //! The lowering replays the eager code paths op for op:
-//! [`lower`] with [`PlanMode::Forward`] mirrors `CellNetwork::forward_trace`
-//! and [`PlanMode::PerSampleGrad`] mirrors
-//! `CellNetwork::backward_per_sample_into` — same kernel sequence, same
+//! [`lower`] with [`PlanMode::Forward`] mirrors the eager forward (a pack
+//! of one, `forward_members` in `network.rs`) and [`PlanMode::PerSampleGrad`]
+//! mirrors `CellNetwork::backward_per_sample_into` — same kernels, same
 //! zero-init + ordered-axpy accumulation, same ReLU recompute in the
-//! backward sweep. The only eager steps *not* lowered are the
+//! backward sweep. The eager forward ReLU-activates each node once for all
+//! its conv edges, where the graph applies one ReLU per edge; the values
+//! are the same. The only eager steps *not* lowered are the
 //! buffer-to-buffer copies (`pooled_copy`), which are bitwise no-ops: the
 //! SSA value simply flows on. The interpreter compiler therefore reproduces
 //! the eager path bit for bit; the fusing compiler is free to rewrite the
@@ -67,9 +69,9 @@ pub(crate) fn lower(net: &CellNetwork, n: usize, mode: PlanMode) -> Graph {
     }
     let clf_w = g.input("clf_w", net.classifier.weight().shape().clone());
 
-    // Forward: stem → cells → pooling → classifier, exactly as
-    // `forward_trace` runs it (the eager `pooled_copy` steps are bitwise
-    // no-ops and are not materialised as ops).
+    // Forward: stem → cells → pooling → classifier, exactly as the eager
+    // forward runs it (its `pooled_copy` steps are bitwise no-ops and are
+    // not materialised as ops).
     let stem_out = g.conv2d(batch, stem_w, net.stem.spec());
     let node_shape = g.value_shape(stem_out).clone();
     let collect_pre = matches!(mode, PlanMode::Forward { collect_pre: true });

@@ -102,6 +102,27 @@ pub(crate) fn set_sign_bits(row: &mut [u64], offset: usize, values: &[f32]) {
     }
 }
 
+/// ORs the pattern `src` (a row of a [`SignPatterns`], so zero past its
+/// last bit) into `row` starting at bit `offset`, a word at a time; the
+/// bits it covers must still be zero. The same bits [`set_sign_bits`] would
+/// write at `offset` from the values `src` was packed from.
+pub(crate) fn or_sign_bits(row: &mut [u64], offset: usize, src: &[u64]) {
+    let base = offset / 64;
+    let shift = offset % 64;
+    for (i, &w) in src.iter().enumerate() {
+        if shift == 0 {
+            row[base + i] |= w;
+            continue;
+        }
+        if w << shift != 0 {
+            row[base + i] |= w << shift;
+        }
+        if w >> (64 - shift) != 0 {
+            row[base + i + 1] |= w >> (64 - shift);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +137,27 @@ mod tests {
             input_resolution: 6,
             channels: 3,
             ..ProxyNetworkConfig::tiny(10)
+        }
+    }
+
+    /// Copying a packed pattern in at any bit offset writes exactly the
+    /// bits packing its values there would: aligned, unaligned (the `fast`
+    /// geometry's 864-bit edge tensors land at offsets like 864 % 64 = 32),
+    /// across word boundaries and for lengths under one word.
+    #[test]
+    fn or_sign_bits_matches_packing_at_the_offset() {
+        let mut data = DeterministicRng::new(5);
+        for len in [1usize, 5, 63, 64, 65, 108, 200] {
+            let values: Vec<f32> = (0..len).map(|_| data.normal()).collect();
+            let mut packed = SignPatterns::zeroed(1, len);
+            set_sign_bits(packed.row_mut(0), 0, &values);
+            for offset in [0usize, 1, 31, 32, 63, 64, 100, 864] {
+                let mut want = SignPatterns::zeroed(1, offset + len + 7);
+                set_sign_bits(want.row_mut(0), offset, &values);
+                let mut got = SignPatterns::zeroed(1, offset + len + 7);
+                or_sign_bits(got.row_mut(0), offset, packed.row(0));
+                assert_eq!(got, want, "len {len} offset {offset}");
+            }
         }
     }
 

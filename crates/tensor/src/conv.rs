@@ -558,12 +558,12 @@ pub(crate) fn conv2d_direct_unchecked(
 /// **Bitwise contract:** the result is bit-for-bit identical to calling
 /// [`conv2d_pooled`] once per input: every image runs the same lowering and
 /// the same `gemm_nn` shape, so the same schedule. The direct/GEMM choice
-/// is made on one candidate's shape, exactly as the solo path makes it, and
-/// a pack of one is the solo path.
+/// is made on one candidate's shape, exactly as the solo path makes it.
 ///
-/// Counts one `tensor.gemm.calls` per call (a pack of one, like
-/// [`conv2d_pooled`], counts one per image); each image's multiply is timed
-/// under the `tensor.gemm` span.
+/// Counts one `tensor.gemm.calls` per call that takes the GEMM path, however
+/// many inputs and images it holds (a pack of one included; the direct
+/// loops count none); each image's multiply is timed under the
+/// `tensor.gemm` span.
 ///
 /// # Errors
 ///
@@ -589,9 +589,9 @@ pub fn conv2d_forward_packed_pooled(
         }
     }
     let (oh, ow) = spec.output_hw(h, w);
-    if inputs.len() == 1 || use_direct(n, c_in, c_out, k, oh, ow) {
+    if use_direct(n, c_in, c_out, k, oh, ow) {
         // Identical geometry means every input makes the same dispatch
-        // decision the solo path would.
+        // decision the solo path would: the direct loops.
         return inputs
             .iter()
             .map(|input| conv2d_pooled(input, weight, spec, workspace))

@@ -2,8 +2,8 @@
 //! largest bucket: 8 members of a 32-sample NTK batch, 8 channels, 16×16,
 //! conv3×3.
 //!
-//! The kernel must count one logical GEMM dispatch and exactly one im2col
-//! lowering per image, and its staging must stay at one image's column
+//! The kernel must count one logical GEMM dispatch (for a bucket of one
+//! input too) and exactly one im2col lowering per image, and its staging must stay at one image's column
 //! matrix however large the bucket (a whole-bucket panel is 18 MiB here).
 //! This file holds one test, so the process-global telemetry sink sees no
 //! other test's work.
@@ -64,4 +64,21 @@ fn packed_forward_stages_one_image_of_the_paper_ntk_bucket() {
         let want = conv2d_pooled(input, &weight, spec, &mut Workspace::new()).unwrap();
         assert_eq!(got, &want, "packed forward must be bitwise solo");
     }
+
+    // A bucket of one input is still one logical dispatch, not one per
+    // image.
+    let lone = Arc::new(Collector::new());
+    let out = {
+        let _scope = install_scoped(lone.clone());
+        conv2d_forward_packed_pooled(&refs[..1], &weight, spec, &mut ws).expect("packed conv")
+    };
+    assert_eq!(lone.report().counter("tensor.gemm.calls"), 1);
+    assert_eq!(
+        lone.report().counter("tensor.im2col.bytes"),
+        (n * image_col_bytes) as u64
+    );
+    assert_eq!(
+        out[0], outs[0],
+        "a bucket of one is bitwise the full bucket's member"
+    );
 }
