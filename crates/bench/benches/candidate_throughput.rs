@@ -9,10 +9,7 @@
 //! `micronas::search` enforce that). It also measures the packed evaluator
 //! head-to-head: one `ZeroCostEvaluator::evaluate_pack` sweep of eight
 //! same-geometry candidates against eight solo `evaluate` calls, interleaved
-//! best-of-3, on the pinned sparse bench cell and the all-conv3×3 cell, and
-//! the packed backward head-to-head: the same packed sweep with the
-//! per-sample gradient kernels merged across members vs forward-only
-//! packing (one solo backward sweep per member). The
+//! best-of-3, on the pinned sparse bench cell and the all-conv3×3 cell. The
 //! search's `EvalCacheStats` and pack-density `BatchStats` ride along in
 //! `target/bench-json/candidate_throughput.json`, so a cache- or
 //! pack-behaviour regression shows up next to the timing numbers.
@@ -113,49 +110,6 @@ fn packed_vs_unpacked(config: &MicroNasConfig, cell: CellTopology, rounds: usize
     (solo, packed)
 }
 
-/// Seconds for one width-[`PACK`] packed sweep, with the per-sample
-/// gradient sweep fully packed (default) vs forward-only packing (the
-/// pre-packed-backward pipeline: packed forward, one solo backward sweep
-/// per member), interleaved best-of-`rounds`. Both sides run the identical
-/// packed forward, so the ratio isolates the backward-pack change.
-fn full_vs_forward_only_packed(
-    config: &MicroNasConfig,
-    cell: CellTopology,
-    rounds: usize,
-) -> (f64, f64) {
-    let full = ZeroCostEvaluator::with_backend(
-        config.ntk,
-        config.linear_regions,
-        config.backend.instantiate(),
-    );
-    let forward_only = ZeroCostEvaluator::with_backend(
-        config.ntk,
-        config.linear_regions,
-        config.backend.instantiate(),
-    )
-    .with_packed_backward(false);
-    let cells = [cell; PACK];
-    // One warm-up per side (arena growth, lazy tables).
-    for side in [&full, &forward_only] {
-        side.evaluate_pack(&cells, DatasetKind::Cifar10, 0)
-            .expect("packed warm-up");
-    }
-    let (mut forward_only_s, mut full_s) = (f64::INFINITY, f64::INFINITY);
-    for round in 0..rounds {
-        let seed = round as u64;
-        let start = Instant::now();
-        forward_only
-            .evaluate_pack(&cells, DatasetKind::Cifar10, seed)
-            .expect("forward-only packed");
-        forward_only_s = forward_only_s.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        full.evaluate_pack(&cells, DatasetKind::Cifar10, seed)
-            .expect("fully packed");
-        full_s = full_s.min(start.elapsed().as_secs_f64());
-    }
-    (forward_only_s, full_s)
-}
-
 /// Whether `MICRONAS_BENCH_SMOKE=1` smoke mode is active.
 fn smoke_mode() -> bool {
     std::env::var("MICRONAS_BENCH_SMOKE")
@@ -217,19 +171,6 @@ fn print_throughput() {
         conv_solo / conv_packed
     );
 
-    // Forward-only vs full packing, interleaved best-of-3 on both cells.
-    let (sparse_fwd_only, sparse_full) = full_vs_forward_only_packed(&config, sparse, 3);
-    let (conv_fwd_only, conv_full) = full_vs_forward_only_packed(&config, conv_heavy_cell(), 3);
-    println!("packed backward ({PACK} candidates, forward-only vs full packing, best of 3):");
-    println!(
-        "  sparse bench cell:   {sparse_fwd_only:>8.4} s -> {sparse_full:>8.4} s  ({:.2}x)",
-        sparse_fwd_only / sparse_full
-    );
-    println!(
-        "  all-conv3x3 cell:    {conv_fwd_only:>8.4} s -> {conv_full:>8.4} s  ({:.2}x)",
-        conv_fwd_only / conv_full
-    );
-
     let mut fields: Vec<(String, f64)> = vec![
         ("candidates_per_second_1_thread".to_string(), single),
         ("candidates_per_second_max_threads".to_string(), multi),
@@ -249,24 +190,6 @@ fn print_throughput() {
         (
             "packed_speedup_conv_cell".to_string(),
             conv_solo / conv_packed,
-        ),
-        (
-            "forward_only_packed_seconds_bench_cell".to_string(),
-            sparse_fwd_only,
-        ),
-        ("full_packed_seconds_bench_cell".to_string(), sparse_full),
-        (
-            "full_packed_speedup_bench_cell".to_string(),
-            sparse_fwd_only / sparse_full,
-        ),
-        (
-            "forward_only_packed_seconds_conv_cell".to_string(),
-            conv_fwd_only,
-        ),
-        ("full_packed_seconds_conv_cell".to_string(), conv_full),
-        (
-            "full_packed_speedup_conv_cell".to_string(),
-            conv_fwd_only / conv_full,
         ),
     ]);
     record_bench_json("candidate_throughput", &fields);

@@ -3,49 +3,37 @@
 //! Three comparisons, all on the paper-default NTK configuration (batch 32,
 //! 16×16 proxy networks, two cells):
 //!
-//! 1. **direct vs im2col/GEMM** conv kernels — the PR 1 engine acceptance;
-//! 2. **looped vs batched per-sample gradients** — the batched-backward
-//!    acceptance: one forward pass plus one batched backward emitting the
-//!    contiguous `[n, P]` gradient matrix and a `G = J·Jᵀ` GEMM, against the
-//!    PR 1 formulation (one backward per sample, n² scalar Gram dots);
-//! 3. **blocked-GEMM vs SIMD execution backend** — the backend-layer
+//! 1. **direct vs im2col/GEMM** conv kernels — the engine acceptance;
+//! 2. **blocked-GEMM vs SIMD execution backend** — the backend-layer
 //!    acceptance: the FMA-tiled `simd` backend against the paper-default
 //!    `blocked_gemm` backend. Measured on two cells: the pinned
 //!    [`BENCH_CELL`] (one 1×1 conv per cell — an honest "sparse" data
 //!    point where shared non-kernel work dominates) and the all-conv3×3
 //!    cell, the kernel-dominated end of the space where a *kernel* backend
 //!    comparison is meaningful. The regression gate rides on the conv cell.
-//! 4. **eager vs fused kernel-graph execution** — the graph-pipeline
+//! 3. **eager vs fused kernel-graph execution** — the graph-pipeline
 //!    acceptance: the `fusing` compiler (DCE + conv→ReLU + backward-pair
 //!    fusion over a cached compiled plan) against the eager call tree, both
 //!    on the paper-default blocked-GEMM backend, on the sparse
 //!    [`BENCH_CELL`] where dead edges and scheduling overhead dominate.
-//! 5. **full packing vs forward-only packing** — the packed-backward
-//!    acceptance: one width-[`PACK`] `evaluate_pack_in` sweep of the sparse
-//!    [`BENCH_CELL`] with the per-sample gradient sweep packed (stem and
-//!    same-geometry conv backward kernels merged across pack members)
-//!    against the forward-only packing it extends (the packed forward plus
-//!    one solo backward sweep per member), single rayon thread so the ratio
-//!    measures dispatch amortisation rather than parallelism.
 //!
 //! Headline numbers land in `target/bench-json/ntk_engine.json`.
 //!
 //! # Smoke mode
 //!
 //! `MICRONAS_BENCH_SMOKE=1` runs reduced-iteration versions of the
-//! looped-vs-batched, blocked-vs-SIMD and full-vs-forward-only-packing
-//! comparisons and **fails** (panics) if the batched path regresses below
-//! the looped path, the SIMD backend regresses below the blocked-GEMM
-//! backend on the conv-heavy cell, or the packed backward regresses below
-//! the forward-only packing on the sparse cell — the CI guards against a
-//! silent fallback onto a slow route. Criterion's own `--test` flag still
-//! runs every benchmark body once without timing.
+//! blocked-vs-SIMD, eager-vs-fused and NullSink comparisons and **fails**
+//! (panics) if the SIMD backend regresses below the blocked-GEMM backend on
+//! the conv-heavy cell, the fusing compiler regresses below the eager path
+//! on the sparse cell, or an installed NullSink costs more than 5% — the
+//! CI guards against a silent fallback onto a slow route. Criterion's own
+//! `--test` flag still runs every benchmark body once without timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use micronas::{MicroNasConfig, MicroNasSearch, SearchSession};
 use micronas_bench::{banner, batch_stat_fields, cache_stat_fields, record_bench_json};
 use micronas_datasets::DatasetKind;
-use micronas_proxies::{GradientPath, NtkConfig, NtkEvaluator};
+use micronas_proxies::{NtkConfig, NtkEvaluator};
 use micronas_searchspace::{CellTopology, Operation, SearchSpace};
 use micronas_tensor::{set_conv_engine, ConvEngine, KernelBackendKind};
 use std::time::Instant;
@@ -54,11 +42,8 @@ use std::time::Instant;
 /// skip and none edges).
 const BENCH_CELL: usize = 7_000;
 
-/// Pack width of the packed-backward comparison (the context default).
-const PACK: usize = 8;
-
-fn paper_evaluator(path: GradientPath) -> NtkEvaluator {
-    NtkEvaluator::new(NtkConfig::paper_default()).with_gradient_path(path)
+fn paper_evaluator() -> NtkEvaluator {
+    NtkEvaluator::new(NtkConfig::paper_default())
 }
 
 /// The kernel-dominated cell of the backend comparison: every edge a 3×3
@@ -114,44 +99,6 @@ fn compiler_seconds(
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Seconds for one width-[`PACK`] packed paper-default NTK sweep of `cell`,
-/// with the per-sample gradient sweep either fully packed (`packed_backward
-/// = true`, this PR) or looped per member over a packed forward
-/// (`false`, the forward-only packing this PR extends), best-of-`rounds`.
-/// Runs on a one-thread rayon pool: the packed sweep's claim is dispatch
-/// amortisation, so it must win without parallelism.
-fn packed_sweep_seconds(
-    cell: CellTopology,
-    packed_backward: bool,
-    runs: usize,
-    rounds: usize,
-) -> f64 {
-    let evaluator =
-        NtkEvaluator::new(NtkConfig::paper_default()).with_packed_backward(packed_backward);
-    let cells = [cell; PACK];
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("pool");
-    pool.install(|| {
-        let mut ws = micronas_tensor::Workspace::default();
-        evaluator
-            .evaluate_pack_in(&cells, DatasetKind::Cifar10, 0, &mut ws)
-            .expect("warm-up");
-        (0..rounds)
-            .map(|_| {
-                let start = Instant::now();
-                for seed in 0..runs {
-                    evaluator
-                        .evaluate_pack_in(&cells, DatasetKind::Cifar10, seed as u64, &mut ws)
-                        .expect("ntk pack");
-                }
-                start.elapsed().as_secs_f64() / runs as f64
-            })
-            .fold(f64::INFINITY, f64::min)
-    })
-}
-
 /// Whether `MICRONAS_BENCH_SMOKE=1` smoke mode is active.
 fn smoke_mode() -> bool {
     std::env::var("MICRONAS_BENCH_SMOKE")
@@ -162,12 +109,10 @@ fn smoke_mode() -> bool {
 /// Runs both headline comparisons and records them; `runs` controls the
 /// averaging window.
 fn compare_and_record(runs: usize) {
-    let batched = paper_evaluator(GradientPath::Batched);
-    let looped = paper_evaluator(GradientPath::Looped);
+    let batched = paper_evaluator();
 
     let direct = measured_seconds(&batched, ConvEngine::Direct, 1.max(runs / 2));
     let gemm = measured_seconds(&batched, ConvEngine::Auto, runs);
-    let looped_s = measured_seconds(&looped, ConvEngine::Auto, runs);
 
     // Backend comparison: interleaved best-of-3 rounds per side.
     let space = SearchSpace::nas_bench_201();
@@ -182,12 +127,6 @@ fn compare_and_record(runs: usize) {
     // cached plan, both on the paper-default backend, on the sparse cell.
     let eager_sparse = backend_seconds(KernelBackendKind::BlockedGemm, sparse_cell, runs, 3);
     let fused_sparse = compiler_seconds(micronas_graph::CompilerKind::Fusing, sparse_cell, runs, 3);
-
-    // Packed-backward comparison: one width-PACK packed sweep of the sparse
-    // cell, full packing vs the forward-only packing it extends, one rayon
-    // thread, best-of-3.
-    let forward_only_pack = packed_sweep_seconds(sparse_cell, false, runs.min(3), 3);
-    let full_pack = packed_sweep_seconds(sparse_cell, true, runs.min(3), 3);
 
     // Store-backed provenance: how much of a real search's NTK traffic the
     // evaluation caches absorb, and how densely the mega-batcher packs the
@@ -209,10 +148,8 @@ fn compare_and_record(runs: usize) {
 
     println!("paper-default NTK evaluation (batch 32, 16x16 proxy, 2 cells):");
     println!("  direct kernels, batched:   {direct:>8.4} s / evaluation");
-    println!("  looped per-sample + dots:  {looped_s:>8.4} s / evaluation");
     println!("  batched [n,P] + GEMM Gram: {gemm:>8.4} s / evaluation");
     println!("  direct->batched speedup:   {:>8.2}x", direct / gemm);
-    println!("  looped->batched speedup:   {:>8.2}x", looped_s / gemm);
     println!("execution backends (blocked_gemm vs simd, best of 3):");
     println!(
         "  all-conv3x3 cell:          {blocked_conv:>8.4} s -> {simd_conv:>8.4} s  ({:.2}x)",
@@ -226,13 +163,6 @@ fn compare_and_record(runs: usize) {
     println!(
         "  sparse bench cell:         {eager_sparse:>8.4} s -> {fused_sparse:>8.4} s  ({:.2}x)",
         eager_sparse / fused_sparse
-    );
-    println!(
-        "packed backward ({PACK}-wide sweep, forward-only vs full packing, 1 thread, best of 3):"
-    );
-    println!(
-        "  sparse bench cell:         {forward_only_pack:>8.4} s -> {full_pack:>8.4} s  ({:.2}x)",
-        forward_only_pack / full_pack
     );
     println!(
         "  search eval-cache:         {} hits / {} misses ({:.1}% absorbed)",
@@ -249,10 +179,8 @@ fn compare_and_record(runs: usize) {
 
     let mut fields: Vec<(String, f64)> = vec![
         ("direct_engine_seconds".to_string(), direct),
-        ("looped_gradients_seconds".to_string(), looped_s),
         ("batched_gradients_seconds".to_string(), gemm),
         ("speedup_vs_direct".to_string(), direct / gemm),
-        ("speedup_vs_looped".to_string(), looped_s / gemm),
         (
             "blocked_backend_seconds_conv_cell".to_string(),
             blocked_conv,
@@ -277,15 +205,6 @@ fn compare_and_record(runs: usize) {
             "speedup_fused_vs_eager_bench_cell".to_string(),
             eager_sparse / fused_sparse,
         ),
-        (
-            "forward_only_packed_seconds_bench_cell".to_string(),
-            forward_only_pack,
-        ),
-        ("full_packed_seconds_bench_cell".to_string(), full_pack),
-        (
-            "speedup_full_vs_forward_only_packed_bench_cell".to_string(),
-            forward_only_pack / full_pack,
-        ),
     ];
     fields.extend(cache_stat_fields("search_cache", &cache));
     fields.extend(batch_stat_fields("search_batch", &batch));
@@ -294,47 +213,6 @@ fn compare_and_record(runs: usize) {
 
 fn bench_ntk_engines(c: &mut Criterion) {
     if smoke_mode() {
-        banner(
-            "NTK engine smoke: batched must not regress below looped",
-            "batched per-sample gradients + GEMM Gram regression gate",
-        );
-        // Noise-robust regression gate: three interleaved rounds, best (=
-        // least noise-disturbed) time per path. A healthy batched path wins
-        // outright (1.2–1.4× in steady state); slower than looped by 5% is
-        // reported as a warning, and the hard failure threshold sits at
-        // 1.5× so a co-tenanted CI runner's contention burst cannot fail
-        // the build without a real regression behind it. Only the two gated
-        // paths are measured (no direct-engine run), and the
-        // reduced-iteration numbers go to their own JSON so they never
-        // overwrite the headline `ntk_engine.json` measurements.
-        let batched = paper_evaluator(GradientPath::Batched);
-        let looped = paper_evaluator(GradientPath::Looped);
-        let (mut looped_s, mut batched_s) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..3 {
-            looped_s = looped_s.min(measured_seconds(&looped, ConvEngine::Auto, 2));
-            batched_s = batched_s.min(measured_seconds(&batched, ConvEngine::Auto, 2));
-        }
-        println!("gate: looped {looped_s:.4}s vs batched {batched_s:.4}s (best of 3)");
-        record_bench_json(
-            "ntk_engine_smoke",
-            &[
-                ("looped_gradients_seconds", looped_s),
-                ("batched_gradients_seconds", batched_s),
-                ("speedup_vs_looped", looped_s / batched_s),
-            ],
-        );
-        if batched_s > looped_s * 1.05 {
-            eprintln!(
-                "warning: batched path ({batched_s:.4}s) is not beating the \
-                 looped path ({looped_s:.4}s) on this runner"
-            );
-        }
-        assert!(
-            batched_s <= looped_s * 1.5,
-            "batched per-sample gradients ({batched_s:.4}s) regressed far below \
-             the looped path ({looped_s:.4}s)"
-        );
-
         // Backend gate: the SIMD backend must not regress below the
         // blocked-GEMM backend on the kernel-dominated cell. Same
         // noise-robustness scheme: interleaved best-of-3, a warning at
@@ -423,43 +301,6 @@ fn bench_ntk_engines(c: &mut Criterion) {
              path ({eager_s:.4}s) on the sparse bench cell"
         );
 
-        // Packed-backward gate: the fully packed per-sample gradient sweep
-        // must not regress below the forward-only packing it replaced as the
-        // default. Same noise-robustness scheme: interleaved best-of-3, a
-        // warning at parity, a hard failure only past 1.25×.
-        banner(
-            "Packed-backward smoke: full packing must not regress below forward-only",
-            "packed per-sample gradient sweep regression gate (sparse bench cell)",
-        );
-        let (mut forward_only_s, mut full_s) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..3 {
-            forward_only_s = forward_only_s.min(packed_sweep_seconds(sparse_cell, false, 2, 1));
-            full_s = full_s.min(packed_sweep_seconds(sparse_cell, true, 2, 1));
-        }
-        println!("gate: forward-only {forward_only_s:.4}s vs full {full_s:.4}s (best of 3)");
-        record_bench_json(
-            "ntk_engine_packed_backward_smoke",
-            &[
-                ("forward_only_packed_seconds", forward_only_s),
-                ("full_packed_seconds", full_s),
-                (
-                    "speedup_full_vs_forward_only_packed",
-                    forward_only_s / full_s,
-                ),
-            ],
-        );
-        if full_s > forward_only_s {
-            eprintln!(
-                "warning: the packed backward sweep ({full_s:.4}s) is not beating \
-                 forward-only packing ({forward_only_s:.4}s) on this runner"
-            );
-        }
-        assert!(
-            full_s <= forward_only_s * 1.25,
-            "the packed per-sample gradient sweep ({full_s:.4}s) regressed below \
-             forward-only packing ({forward_only_s:.4}s) on the sparse bench cell"
-        );
-
         // Telemetry gate: an installed NullSink reports `is_enabled() ==
         // false`, so every probe must stay on the disabled fast path (one
         // relaxed atomic load). Interleaved best-of-3 on the
@@ -469,7 +310,7 @@ fn bench_ntk_engines(c: &mut Criterion) {
             "Telemetry smoke: NullSink must be free",
             "telemetry disabled-path overhead gate (all-conv3x3 cell)",
         );
-        let evaluator = paper_evaluator(GradientPath::Batched);
+        let evaluator = paper_evaluator();
         let (mut plain_s, mut null_s) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..3 {
             plain_s = plain_s.min(timed_seconds(&evaluator, conv_cell, 2));
@@ -498,7 +339,7 @@ fn bench_ntk_engines(c: &mut Criterion) {
 
     if !c.is_test_mode() {
         banner(
-            "NTK end-to-end: conv engines and gradient formulations",
+            "NTK end-to-end: conv engines, backends and graph pipeline",
             "proxy-evaluation engine + batched per-sample gradients",
         );
         compare_and_record(6);
@@ -512,7 +353,7 @@ fn bench_ntk_engines(c: &mut Criterion) {
         (ConvEngine::Direct, "direct"),
         (ConvEngine::Im2colGemm, "im2col_gemm"),
     ] {
-        let evaluator = paper_evaluator(GradientPath::Batched);
+        let evaluator = paper_evaluator();
         group.bench_with_input(BenchmarkId::from_parameter(name), &engine, |b, &engine| {
             set_conv_engine(engine);
             b.iter(|| {
@@ -524,20 +365,15 @@ fn bench_ntk_engines(c: &mut Criterion) {
             set_conv_engine(ConvEngine::Auto);
         });
     }
-    for (path, name) in [
-        (GradientPath::Looped, "looped_gradients"),
-        (GradientPath::Batched, "batched_gradients"),
-    ] {
-        let evaluator = paper_evaluator(path);
-        group.bench_with_input(BenchmarkId::from_parameter(name), &path, |b, _| {
-            b.iter(|| {
-                evaluator
-                    .evaluate(cell, DatasetKind::Cifar10, 1)
-                    .expect("ntk")
-                    .condition_number
-            });
+    let evaluator = paper_evaluator();
+    group.bench_function(BenchmarkId::from_parameter("batched_gradients"), |b| {
+        b.iter(|| {
+            evaluator
+                .evaluate(cell, DatasetKind::Cifar10, 1)
+                .expect("ntk")
+                .condition_number
         });
-    }
+    });
     for kind in [KernelBackendKind::BlockedGemm, KernelBackendKind::Simd] {
         let evaluator =
             NtkEvaluator::new(NtkConfig::paper_default()).with_backend(kind.instantiate());

@@ -56,6 +56,16 @@ struct ForwardTrace {
 /// width, global average pooling and a linear classifier. See
 /// [`ProxyNetworkConfig`] for the geometry knobs.
 ///
+/// # Execution paths
+///
+/// The eager forward and the per-sample gradient sweep are those of a
+/// [`CellNetworkPack`] of one network: a solo network runs the same code,
+/// counting no packed dispatch. [`CellNetwork::with_compiler`] routes both
+/// through a compiled kernel-graph plan instead. The looped formulation
+/// ([`CellNetwork::per_sample_gradients_looped_with`]) is the independent
+/// oracle both are tested against, and the summed backward
+/// ([`CellNetwork::parameter_gradients`]) serves saliency proxies.
+///
 /// # Execution backends
 ///
 /// Every kernel the network runs — convolution forward/backward, pooling,
@@ -63,11 +73,10 @@ struct ForwardTrace {
 /// [`KernelBackend`] ([`CellNetwork::with_backend`]; the plain constructor
 /// uses the shared paper-default backend, which is bitwise-identical to the
 /// pre-backend pipeline). The *weights* never depend on the backend: only
-/// execution arithmetic does. Exceptions, by design: the looped reference
-/// formulation ([`CellNetwork::per_sample_gradients_looped_with`]) keeps its
-/// historical free-function forward trace (it is the pinned PR 3 baseline
-/// the batched path is property-tested and benchmarked against), and the
-/// tiny `global_avg_pool` reduction is shared by all backends.
+/// execution arithmetic does. Exceptions, by design: the looped oracle
+/// keeps its own free-function forward trace, independent of the pack
+/// forward it checks, and the tiny `global_avg_pool` reduction is shared
+/// by all backends.
 #[derive(Debug, Clone)]
 pub struct CellNetwork {
     pub(crate) cell: CellTopology,
@@ -363,9 +372,10 @@ impl CellNetwork {
     /// `[n, P]` matrix, computed by the **batched** formulation: a single
     /// forward pass over the whole batch, then a single backward sweep in
     /// which every convolution edge emits all `n` per-sample weight
-    /// gradients from one shared im2col lowering
-    /// ([`micronas_tensor::conv2d_backward_weight_per_sample_into`], routed
-    /// through the network's backend) straight into the matrix.
+    /// gradients from one shared im2col lowering straight into the matrix.
+    /// The eager path is the pack sweep
+    /// ([`CellNetworkPack::per_sample_gradient_matrices_with`]) over a pack
+    /// of one.
     ///
     /// Compared to the looped formulation
     /// ([`CellNetwork::per_sample_gradients_looped_with`]) this runs one
@@ -385,26 +395,18 @@ impl CellNetwork {
             self.check_input(batch)?;
             return crate::plan::per_sample_gradient_matrix_graph(self, batch, workspace, compiler);
         }
-        let trace = self.forward_trace(batch, workspace)?;
-        let n = batch.shape().dims()[0];
-        let p = self.num_parameters();
-        // The matrix buffer comes from the recycling pool: at batch 32 it is
-        // past the allocator's mmap threshold, so a fresh allocation per
-        // evaluation would cost page faults. Callers hand it back via
-        // `PerSampleGradients::into_values` + `Workspace::recycle`.
-        let mut matrix = workspace.take_zeroed(n * p);
-        self.backward_per_sample_into(&trace, workspace, &mut matrix)?;
-        recycle_trace(trace, workspace);
-        Ok(PerSampleGradients::new(n, p, matrix))
+        let matrix =
+            per_sample_gradient_matrices(std::slice::from_ref(self), batch, workspace)?.pop();
+        Ok(matrix.expect("a pack of one has one matrix"))
     }
 
-    /// The pre-batching reference implementation of per-sample gradients:
-    /// one full forward/backward pass per sample, with the reference
-    /// (allocation-per-tensor) trace. Kept verbatim as the oracle the
-    /// batched formulation is property-tested against, and as the baseline
-    /// side of the `ntk_engine` benchmark — it *is* the path the proxy
-    /// engine ran before batching, so the benchmark's speedup is measured
-    /// against the real predecessor, not a strawman.
+    /// The looped reference implementation of per-sample gradients: one
+    /// full forward/backward pass per sample, with the reference
+    /// (allocation-per-tensor) forward trace and the summed backward. It
+    /// shares no code with the pack forward or the per-sample sweep, which
+    /// makes it the test oracle the batched formulation (solo and every
+    /// pack member) is compared against bit for bit. Not used on any
+    /// evaluation path.
     ///
     /// # Errors
     ///
@@ -496,178 +498,6 @@ impl CellNetwork {
             table.push(row);
         }
         (table, offset)
-    }
-
-    /// Batched backward pass of `sum(logits)` writing per-sample parameter
-    /// gradients into the row-major `[n, P]` `matrix` (pre-zeroed).
-    ///
-    /// Node gradients flow exactly as in [`CellNetwork::backward`] — samples
-    /// are independent through every convolution, pooling and element-wise
-    /// op, so one batch-level sweep produces each sample's node gradients
-    /// bit-for-bit as `n` separate backward passes would — but at every
-    /// parameterised layer the weight gradient is *not* summed over the
-    /// batch: each sample's contribution lands in its own row.
-    fn backward_per_sample_into(
-        &self,
-        trace: &ForwardTrace,
-        workspace: &mut Workspace,
-        matrix: &mut [f32],
-    ) -> Result<()> {
-        let _span = micronas_telemetry::span!("nn.backward");
-        let backend = &*self.backend;
-        let n = trace.input.shape().dims()[0];
-        let p = self.num_parameters();
-        debug_assert_eq!(matrix.len(), n * p);
-        let (edge_offsets, classifier_offset) = self.edge_parameter_offsets();
-        let num_classes = self.config.num_classes;
-        let channels = self.config.channels;
-
-        // Classifier, per sample: with L = sum(logits), dL/dW[o][i] for
-        // sample b is grad_logits[b][o] · features[b][i] — a pure outer
-        // product, so each row is written directly.
-        let features = trace.features.data();
-        for b in 0..n {
-            let row = &mut matrix[b * p + classifier_offset..(b * p) + p];
-            for o in 0..num_classes {
-                for i in 0..channels {
-                    row[o * channels + i] = features[b * channels + i];
-                }
-            }
-        }
-
-        // Gradient w.r.t. the features: grad_logits · W with grad_logits
-        // all-ones, batched over samples (rows are independent).
-        let mut grad_features = Tensor::zeros(Shape::d2(n, channels));
-        let ones = vec![1.0f32; n * num_classes];
-        backend.gemm_nn(
-            n,
-            num_classes,
-            channels,
-            &ones,
-            self.classifier.weight().data(),
-            grad_features.data_mut(),
-            false,
-        );
-
-        // Global average pooling, into a pooled buffer (the batch-level
-        // gradient tensor is large enough that a fresh allocation per
-        // backward costs an mmap): every plane of the input gradient is the
-        // corresponding feature gradient spread uniformly — the same values
-        // `global_avg_pool_backward` produces.
-        let last_x = trace
-            .nodes
-            .last()
-            .map(|nodes| &nodes[NUM_NODES - 1])
-            .unwrap_or(&trace.stem_out);
-        let hw: usize = last_x.shape().dims()[2] * last_x.shape().dims()[3];
-        let mut grad_x = {
-            let mut buf = workspace.take(last_x.numel());
-            for (&g, plane) in grad_features.data().iter().zip(buf.chunks_exact_mut(hw)) {
-                plane.fill(g / hw as f32);
-            }
-            Tensor::from_vec(last_x.shape().clone(), buf).expect("length matches shape")
-        };
-
-        // Cells in reverse order.
-        for (cell_idx, (cell_instance, nodes)) in
-            self.cells.iter().zip(trace.nodes.iter()).enumerate().rev()
-        {
-            let mut node_grads: Vec<Tensor> = nodes[..NUM_NODES - 1]
-                .iter()
-                .map(|nd| pooled_zeros(nd.shape().clone(), workspace))
-                .collect();
-            node_grads.push(grad_x);
-            // A node gradient is structurally zero until an edge accumulates
-            // into it; tracking that with a flag skips dead subgraphs without
-            // the full-tensor norm pass the looped reference pays per edge.
-            // (An accumulated-but-numerically-zero gradient is processed; it
-            // contributes zeros, identical to skipping.)
-            let mut touched = [false; NUM_NODES];
-            touched[NUM_NODES - 1] = true;
-
-            for edge in EdgeId::all().iter().rev() {
-                let (src, dst) = edge.endpoints();
-                if !touched[dst] {
-                    continue;
-                }
-                // Source nodes always precede destination nodes, so a split
-                // borrows the upstream gradient while the source accumulates.
-                let (lower, upper) = node_grads.split_at_mut(dst);
-                let upstream = &upper[0];
-                match self.cell.edge_ops()[edge.0] {
-                    Operation::None => {}
-                    Operation::SkipConnect => {
-                        lower[src].axpy(1.0, upstream).map_err(NnError::from)?;
-                        touched[src] = true;
-                    }
-                    Operation::AvgPool3x3 => {
-                        let g = backend.avg_pool2d_backward(
-                            upstream,
-                            nodes[src].shape(),
-                            3,
-                            1,
-                            1,
-                            workspace,
-                        )?;
-                        lower[src].axpy(1.0, &g).map_err(NnError::from)?;
-                        workspace.recycle(g.into_vec());
-                        touched[src] = true;
-                    }
-                    Operation::NorConv1x1 | Operation::NorConv3x3 => {
-                        let conv = cell_instance.edge_convs[edge.0]
-                            .as_ref()
-                            .expect("conv edge always has a layer");
-                        let activated = pooled_relu(&nodes[src], workspace);
-                        backend.conv2d_backward_weight_per_sample_into(
-                            &activated,
-                            upstream,
-                            conv.out_channels(),
-                            conv.spec(),
-                            workspace,
-                            matrix,
-                            p,
-                            edge_offsets[cell_idx][edge.0],
-                        )?;
-                        let mut g_src = backend.conv2d_backward_input(
-                            conv.weight(),
-                            upstream,
-                            activated.shape(),
-                            conv.spec(),
-                            workspace,
-                        )?;
-                        workspace.recycle(activated.into_vec());
-                        // ReLU backward, in place on the input gradient.
-                        for (g, &x) in g_src.data_mut().iter_mut().zip(nodes[src].data()) {
-                            if x <= 0.0 {
-                                *g = 0.0;
-                            }
-                        }
-                        lower[src].axpy(1.0, &g_src).map_err(NnError::from)?;
-                        workspace.recycle(g_src.into_vec());
-                        touched[src] = true;
-                    }
-                }
-            }
-            let mut drain = node_grads.into_iter();
-            grad_x = drain.next().expect("node 0 gradient");
-            for t in drain {
-                workspace.recycle(t.into_vec());
-            }
-        }
-
-        // Stem, per sample.
-        backend.conv2d_backward_weight_per_sample_into(
-            &trace.input,
-            &grad_x,
-            self.stem.out_channels(),
-            self.stem.spec(),
-            workspace,
-            matrix,
-            p,
-            0,
-        )?;
-        workspace.recycle(grad_x.into_vec());
-        Ok(())
     }
 
     fn backward(
@@ -1238,25 +1068,19 @@ fn forward_traces(
 /// ([`micronas_tensor::KernelBackend::conv2d_backward_weight_per_sample_packed`]
 /// and its input-gradient companion). The per-sample weight-gradient GEMMs
 /// keep per-candidate operands, so the packed kernels *iterate* the exact
-/// solo per-candidate schedule inside one call — what they amortise is the
+/// solo per-candidate schedule inside one call; what they amortise is the
 /// im2col lowering of bitwise-identical probe activations (every member's
 /// stem backward consumes the same input batch, lowered once per pack) and
-/// kernel dispatch overhead, not the GEMM shapes. Per-member accumulation
-/// order is untouched. Identical pack members collapse further: same
-/// topology plus same seed means bitwise-equal weights and traces, so the
-/// sweep runs once per *distinct* topology and copies duplicates' matrices
-/// from their representative — byte-for-byte what each duplicate's own
-/// sweep would have produced. Everything the pack returns is **bitwise
-/// identical** to evaluating each member through its own [`CellNetwork`]
-/// entry points.
+/// kernel dispatch overhead, not the GEMM shapes. The backward does not
+/// number values: gradients depend on everything downstream, so a member
+/// listed twice is swept twice (the search resolves each slate to distinct
+/// cells before it packs them). A solo [`CellNetwork`]'s eager forward and
+/// gradient sweep are this pack's over a pack of one, so everything the
+/// pack returns is **bitwise identical** to evaluating each member through
+/// its own [`CellNetwork`] entry points.
 #[derive(Debug, Clone)]
 pub struct CellNetworkPack {
     networks: Vec<CellNetwork>,
-    /// Routes the per-sample gradient sweep through the packed backward
-    /// kernels (`true`, default) or the per-member solo loop (`false`).
-    /// Both paths are bitwise-identical; the toggle exists so benches can
-    /// measure forward-only packing as a baseline.
-    packed_backward: bool,
 }
 
 impl CellNetworkPack {
@@ -1286,22 +1110,7 @@ impl CellNetworkPack {
             .iter()
             .map(|cell| CellNetwork::with_backend(cell, config, seed, Arc::clone(&backend)))
             .collect::<Result<Vec<_>>>()?;
-        Ok(Self {
-            networks,
-            packed_backward: true,
-        })
-    }
-
-    /// Enables or disables the packed backward sweep (enabled by default).
-    ///
-    /// Disabling falls back to one solo backward per member on its
-    /// pack-produced trace — the forward-only packing behaviour — without
-    /// changing any returned value: both paths are bitwise-identical, so
-    /// this knob is purely a performance baseline for benchmarks.
-    #[must_use]
-    pub fn with_packed_backward(mut self, packed_backward: bool) -> Self {
-        self.packed_backward = packed_backward;
-        self
+        Ok(Self { networks })
     }
 
     /// Routes every member's graph-capable entry points through `compiler`
@@ -1406,19 +1215,13 @@ impl CellNetworkPack {
         )
     }
 
-    /// Per-sample gradient matrices for every member from **one packed
-    /// sweep**: packed forward, then one lockstep packed backward over the
-    /// whole pack — conv edges bucket by kernel size exactly as in the
-    /// forward, each bucket dispatching its per-sample weight gradients and
-    /// input gradients through the packed backward seam. Per-member
-    /// accumulation order is untouched, so element `i` is bitwise identical
-    /// to [`CellNetwork::per_sample_gradient_matrix_with`] on member `i`
-    /// alone.
-    ///
-    /// Falls back to one solo backward per member when a compiler is
-    /// installed (compiled plans are solo by definition) or when the packed
-    /// backward has been disabled via
-    /// [`CellNetworkPack::with_packed_backward`].
+    /// Per-sample gradient matrices for every member from one lockstep
+    /// sweep: one pack forward, then one backward over the whole pack, conv
+    /// edges bucketed by kernel size as in the forward and each bucket
+    /// dispatched through the packed backward seam. Element `i` is bitwise
+    /// identical to [`CellNetwork::per_sample_gradient_matrix_with`] on
+    /// member `i` alone. Under a compiler each member runs its solo
+    /// compiled plan (compiled plans are solo by definition).
     ///
     /// # Errors
     ///
@@ -1435,63 +1238,7 @@ impl CellNetworkPack {
                 .map(|net| net.per_sample_gradient_matrix_with(batch, workspace))
                 .collect();
         }
-        let traces = forward_traces(&self.networks, batch, workspace)?;
-        let n = batch.shape().dims()[0];
-        if !self.packed_backward {
-            // Forward-only packing (the PR 6 behaviour): solo backward per
-            // member. Kept as the measured baseline for the packed sweep.
-            let mut out = Vec::with_capacity(traces.len());
-            for (net, trace) in self.networks.iter().zip(traces) {
-                let p = net.num_parameters();
-                let mut matrix = workspace.take_zeroed(n * p);
-                net.backward_per_sample_into(&trace, workspace, &mut matrix)?;
-                recycle_trace(trace, workspace);
-                out.push(PerSampleGradients::new(n, p, matrix));
-            }
-            return Ok(out);
-        }
-        let mut matrices: Vec<Vec<f32>> = self
-            .networks
-            .iter()
-            .map(|net| workspace.take_zeroed(n * net.num_parameters()))
-            .collect();
-        // Identical pack members — same topology, and the pack's
-        // position-keyed seeding gives same-topology members bitwise-equal
-        // weights — produce bitwise-identical traces on the shared batch and
-        // therefore bitwise-identical gradient matrices. Sweep each distinct
-        // member once; a duplicate's matrix is a copy, byte-for-byte what
-        // its own sweep would have produced.
-        let mut reps: Vec<usize> = Vec::new();
-        let mut rep_of: Vec<usize> = Vec::with_capacity(self.networks.len());
-        for (idx, net) in self.networks.iter().enumerate() {
-            match reps
-                .iter()
-                .copied()
-                .find(|&r| self.networks[r].cell == net.cell)
-            {
-                Some(r) => rep_of.push(r),
-                None => {
-                    reps.push(idx);
-                    rep_of.push(idx);
-                }
-            }
-        }
-        self.backward_pack_per_sample_into(batch, &traces, &reps, workspace, &mut matrices)?;
-        for (idx, &rep) in rep_of.iter().enumerate() {
-            if rep != idx {
-                let (head, tail) = matrices.split_at_mut(idx);
-                tail[0].copy_from_slice(&head[rep]);
-            }
-        }
-        for trace in traces {
-            recycle_trace(trace, workspace);
-        }
-        Ok(self
-            .networks
-            .iter()
-            .zip(matrices)
-            .map(|(net, matrix)| PerSampleGradients::new(n, net.num_parameters(), matrix))
-            .collect())
+        per_sample_gradient_matrices(&self.networks, batch, workspace)
     }
 
     /// [`CellNetworkPack::per_sample_gradient_matrices_with`] on a fresh
@@ -1503,254 +1250,286 @@ impl CellNetworkPack {
     pub fn per_sample_gradient_matrices(&self, batch: &Tensor) -> Result<Vec<PerSampleGradients>> {
         self.per_sample_gradient_matrices_with(batch, &mut Workspace::default())
     }
+}
 
-    /// The lockstep packed backward over the strictly ascending `members`
-    /// subset (callers pass one representative per distinct topology).
-    /// Mirrors [`CellNetwork::backward_per_sample_into`] per member — same
-    /// per-member gradient flow, same accumulation order, same kernels —
-    /// except that same-geometry conv edges dispatch their weight and input
-    /// gradients packed, and the stem's per-sample backward (whose input,
-    /// the probe batch, is identical across members) runs as one full-width
-    /// packed dispatch that lowers the batch exactly once.
-    fn backward_pack_per_sample_into(
-        &self,
-        batch: &Tensor,
-        traces: &[ForwardTrace],
-        members: &[usize],
-        workspace: &mut Workspace,
-        matrices: &mut [Vec<f32>],
-    ) -> Result<()> {
-        let Some(&lead_member) = members.first() else {
-            return Ok(());
-        };
-        let _span = micronas_telemetry::span!("nn.pack_backward");
-        let first = &self.networks[lead_member];
-        let backend = &*first.backend;
-        let n = batch.shape().dims()[0];
-        let num_classes = first.config.num_classes;
-        let channels = first.config.channels;
-        // Members generally differ in parameter count and layer offsets.
-        let offsets: Vec<(Vec<[usize; NUM_EDGES]>, usize)> = self
-            .networks
-            .iter()
-            .map(|net| net.edge_parameter_offsets())
-            .collect();
-        let params: Vec<usize> = self
-            .networks
-            .iter()
-            .map(|net| net.num_parameters())
-            .collect();
-
-        // Classifier rows, feature gradients and the pooling spread have
-        // per-member operands everywhere; they run per member, exactly as
-        // in the solo backward. The all-ones logits gradient is the only
-        // shared operand, hoisted out of the loop.
-        let ones = vec![1.0f32; n * num_classes];
-        let mut grad_xs: Vec<Tensor> = Vec::with_capacity(members.len());
-        for &idx in members {
-            let net = &self.networks[idx];
-            let trace = &traces[idx];
-            let p = params[idx];
-            let classifier_offset = offsets[idx].1;
-            let matrix = &mut matrices[idx];
-            debug_assert_eq!(matrix.len(), n * p);
-            let features = trace.features.data();
-            for b in 0..n {
-                let row = &mut matrix[b * p + classifier_offset..(b * p) + p];
-                for o in 0..num_classes {
-                    for i in 0..channels {
-                        row[o * channels + i] = features[b * channels + i];
-                    }
-                }
-            }
-            let mut grad_features = Tensor::zeros(Shape::d2(n, channels));
-            backend.gemm_nn(
-                n,
-                num_classes,
-                channels,
-                &ones,
-                net.classifier.weight().data(),
-                grad_features.data_mut(),
-                false,
-            );
-            let last_x = trace
-                .nodes
-                .last()
-                .map(|nodes| &nodes[NUM_NODES - 1])
-                .unwrap_or(&trace.stem_out);
-            let hw: usize = last_x.shape().dims()[2] * last_x.shape().dims()[3];
-            let mut buf = workspace.take(last_x.numel());
-            for (&g, plane) in grad_features.data().iter().zip(buf.chunks_exact_mut(hw)) {
-                plane.fill(g / hw as f32);
-            }
-            grad_xs
-                .push(Tensor::from_vec(last_x.shape().clone(), buf).expect("length matches shape"));
-        }
-
-        // Cells in reverse order, all members in lockstep. Everything below
-        // indexes by *dense position* within `members`; `members[pos]` maps
-        // back to the pack index for traces, offsets and matrix slots.
-        let num_cells = first.cells.len();
-        for cell_idx in (0..num_cells).rev() {
-            let mut node_grads: Vec<Vec<Tensor>> = std::mem::take(&mut grad_xs)
-                .into_iter()
-                .zip(members)
-                .map(|(gx, &idx)| {
-                    let nodes = &traces[idx].nodes[cell_idx];
-                    let mut ng: Vec<Tensor> = nodes[..NUM_NODES - 1]
-                        .iter()
-                        .map(|nd| pooled_zeros(nd.shape().clone(), workspace))
-                        .collect();
-                    ng.push(gx);
-                    ng
-                })
-                .collect();
-            // Same structural-zero tracking as the solo backward, one flag
-            // set per member.
-            let mut touched = vec![[false; NUM_NODES]; members.len()];
-            for t in &mut touched {
-                t[NUM_NODES - 1] = true;
-            }
-
-            for edge in EdgeId::all().iter().rev() {
-                let (src, dst) = edge.endpoints();
-                // Partition members by this edge's operation, skipping
-                // members whose upstream node is structurally zero. Non-conv
-                // gradients accumulate immediately (each member has exactly
-                // one op per edge, so per-member order across edges stays
-                // canonical); conv members bucket by kernel size for one
-                // packed dispatch per bucket.
-                let mut conv_buckets: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-                for (pos, &idx) in members.iter().enumerate() {
-                    if !touched[pos][dst] {
-                        continue;
-                    }
-                    match self.networks[idx].cell.edge_ops()[edge.0] {
-                        Operation::None => {}
-                        Operation::SkipConnect => {
-                            let (lower, upper) = node_grads[pos].split_at_mut(dst);
-                            lower[src].axpy(1.0, &upper[0]).map_err(NnError::from)?;
-                            touched[pos][src] = true;
-                        }
-                        Operation::AvgPool3x3 => {
-                            let g = backend.avg_pool2d_backward(
-                                &node_grads[pos][dst],
-                                traces[idx].nodes[cell_idx][src].shape(),
-                                3,
-                                1,
-                                1,
-                                workspace,
-                            )?;
-                            node_grads[pos][src].axpy(1.0, &g).map_err(NnError::from)?;
-                            workspace.recycle(g.into_vec());
-                            touched[pos][src] = true;
-                        }
-                        Operation::NorConv1x1 => conv_buckets[0].push(pos),
-                        Operation::NorConv3x3 => conv_buckets[1].push(pos),
-                    }
-                }
-                for bucket in &conv_buckets {
-                    let Some(&lead_pos) = bucket.first() else {
-                        continue;
-                    };
-                    let conv = self.networks[members[lead_pos]].cells[cell_idx].edge_convs[edge.0]
-                        .as_ref()
-                        .expect("conv edge always has a layer");
-                    debug_assert!(bucket.iter().all(|&pos| {
-                        self.networks[members[pos]].cells[cell_idx].edge_convs[edge.0]
-                            .as_ref()
-                            .is_some_and(|c| c.weight() == conv.weight())
-                    }));
-                    let activated: Vec<Tensor> = bucket
-                        .iter()
-                        .map(|&pos| {
-                            pooled_relu(&traces[members[pos]].nodes[cell_idx][src], workspace)
-                        })
-                        .collect();
-                    {
-                        let inputs: Vec<&Tensor> = activated.iter().collect();
-                        let grads: Vec<&Tensor> =
-                            bucket.iter().map(|&pos| &node_grads[pos][dst]).collect();
-                        let originals: Vec<usize> =
-                            bucket.iter().map(|&pos| members[pos]).collect();
-                        let mut slots = disjoint_slots(matrices, &originals, |idx| {
-                            (params[idx], offsets[idx].0[cell_idx][edge.0])
-                        });
-                        backend.conv2d_backward_weight_per_sample_packed(
-                            &inputs,
-                            &grads,
-                            conv.out_channels(),
-                            conv.spec(),
-                            workspace,
-                            &mut slots,
-                        )?;
-                    }
-                    note_pack_backward_dispatch(bucket.len());
-                    let g_srcs = {
-                        let grads: Vec<&Tensor> =
-                            bucket.iter().map(|&pos| &node_grads[pos][dst]).collect();
-                        backend.conv2d_backward_input_packed(
-                            conv.weight(),
-                            &grads,
-                            activated[0].shape(),
-                            conv.spec(),
-                            workspace,
-                        )?
-                    };
-                    note_pack_backward_dispatch(bucket.len());
-                    for t in activated {
-                        workspace.recycle(t.into_vec());
-                    }
-                    for (&pos, mut g_src) in bucket.iter().zip(g_srcs) {
-                        // ReLU backward, in place on the input gradient.
-                        let nodes = &traces[members[pos]].nodes[cell_idx];
-                        for (g, &x) in g_src.data_mut().iter_mut().zip(nodes[src].data()) {
-                            if x <= 0.0 {
-                                *g = 0.0;
-                            }
-                        }
-                        let (lower, _) = node_grads[pos].split_at_mut(dst);
-                        lower[src].axpy(1.0, &g_src).map_err(NnError::from)?;
-                        workspace.recycle(g_src.into_vec());
-                        touched[pos][src] = true;
-                    }
-                }
-            }
-            grad_xs = node_grads
-                .into_iter()
-                .map(|ng| {
-                    let mut drain = ng.into_iter();
-                    let g0 = drain.next().expect("node 0 gradient");
-                    for t in drain {
-                        workspace.recycle(t.into_vec());
-                    }
-                    g0
-                })
-                .collect();
-        }
-
-        // Stem, per sample, packed across the swept members: every member's
-        // stem backward consumes the identical probe batch, so the packed
-        // kernel lowers it exactly once for the whole dispatch.
-        {
-            let inputs: Vec<&Tensor> = members.iter().map(|_| batch).collect();
-            let grads: Vec<&Tensor> = grad_xs.iter().collect();
-            let mut slots = disjoint_slots(matrices, members, |idx| (params[idx], 0));
-            backend.conv2d_backward_weight_per_sample_packed(
-                &inputs,
-                &grads,
-                first.stem.out_channels(),
-                first.stem.spec(),
-                workspace,
-                &mut slots,
-            )?;
-        }
-        note_pack_backward_dispatch(members.len());
-        for g in grad_xs {
-            workspace.recycle(g.into_vec());
-        }
-        Ok(())
+/// The eager per-sample gradients of `sum(logits)` of a pack of networks
+/// over one `(config, seed, backend)` triple, one row-major `[n, P]` matrix
+/// per member, in pack order: one [`forward_members`] pass, then one
+/// [`backward_members`] sweep. A pack of one *is*
+/// [`CellNetwork::per_sample_gradient_matrix_with`]'s eager path.
+fn per_sample_gradient_matrices(
+    networks: &[CellNetwork],
+    batch: &Tensor,
+    workspace: &mut Workspace,
+) -> Result<Vec<PerSampleGradients>> {
+    let traces = forward_traces(networks, batch, workspace)?;
+    let n = batch.shape().dims()[0];
+    // Matrix buffers come from the recycling pool: at batch 32 they are
+    // past the allocator's mmap threshold, so a fresh allocation per
+    // evaluation would cost page faults. Callers hand them back via
+    // `PerSampleGradients::into_values` + `Workspace::recycle`.
+    let mut matrices: Vec<Vec<f32>> = networks
+        .iter()
+        .map(|net| workspace.take_zeroed(n * net.num_parameters()))
+        .collect();
+    backward_members(networks, batch, &traces, workspace, &mut matrices)?;
+    for trace in traces {
+        recycle_trace(trace, workspace);
     }
+    Ok(networks
+        .iter()
+        .zip(matrices)
+        .map(|(net, matrix)| PerSampleGradients::new(n, net.num_parameters(), matrix))
+        .collect())
+}
+
+/// The eager backward of `sum(logits)` over a pack of networks, in
+/// lockstep, writing each member's per-sample parameter gradients into its
+/// pre-zeroed row-major `[n, P]` matrix.
+///
+/// Node gradients flow exactly as in [`CellNetwork::backward`]: samples are
+/// independent through every convolution, pooling and element-wise op, so
+/// one batch-level sweep produces each sample's node gradients bit for bit
+/// as `n` separate backward passes would. At every parameterised layer the
+/// weight gradient is *not* summed over the batch: each sample's
+/// contribution lands in its own row. A member's kernels and accumulation
+/// order do not depend on the other members, so its matrix is bitwise what
+/// a pack of one gives; same-kernel conv edges dispatch their weight and
+/// input gradients packed, and the stem's per-sample backward (whose input, the probe
+/// batch, is identical across members) runs as one full-width packed
+/// dispatch that lowers the batch once. A pack of one counts no packed
+/// dispatch ([`pack_kernel_stats`]).
+fn backward_members(
+    networks: &[CellNetwork],
+    batch: &Tensor,
+    traces: &[ForwardTrace],
+    workspace: &mut Workspace,
+    matrices: &mut [Vec<f32>],
+) -> Result<()> {
+    let Some(first) = networks.first() else {
+        return Ok(());
+    };
+    let _span = micronas_telemetry::span!("nn.pack_backward");
+    let backend = &*first.backend;
+    let note_dispatch = |members: usize| {
+        if networks.len() > 1 {
+            note_pack_backward_dispatch(members);
+        }
+    };
+    let n = batch.shape().dims()[0];
+    let num_classes = first.config.num_classes;
+    let channels = first.config.channels;
+    // Members generally differ in parameter count and layer offsets.
+    let offsets: Vec<(Vec<[usize; NUM_EDGES]>, usize)> = networks
+        .iter()
+        .map(|net| net.edge_parameter_offsets())
+        .collect();
+    let params: Vec<usize> = networks.iter().map(|net| net.num_parameters()).collect();
+
+    // Classifier rows, feature gradients and the pooling spread have
+    // per-member operands everywhere; they run per member. With
+    // L = sum(logits), dL/dW[o][i] for sample b is
+    // grad_logits[b][o] · features[b][i], a pure outer product, so each row
+    // is written directly; the feature gradient is grad_logits · W with
+    // grad_logits all-ones (the only shared operand), and global average
+    // pooling spreads it uniformly over each plane, into a pooled buffer.
+    let ones = vec![1.0f32; n * num_classes];
+    let mut grad_xs: Vec<Tensor> = Vec::with_capacity(networks.len());
+    for (p, (net, trace)) in networks.iter().zip(traces).enumerate() {
+        let matrix = &mut matrices[p];
+        debug_assert_eq!(matrix.len(), n * params[p]);
+        let features = trace.features.data();
+        for b in 0..n {
+            let row = &mut matrix[b * params[p] + offsets[p].1..(b + 1) * params[p]];
+            for o in 0..num_classes {
+                for i in 0..channels {
+                    row[o * channels + i] = features[b * channels + i];
+                }
+            }
+        }
+        let mut grad_features = Tensor::zeros(Shape::d2(n, channels));
+        backend.gemm_nn(
+            n,
+            num_classes,
+            channels,
+            &ones,
+            net.classifier.weight().data(),
+            grad_features.data_mut(),
+            false,
+        );
+        let last_x = trace
+            .nodes
+            .last()
+            .map(|nodes| &nodes[NUM_NODES - 1])
+            .unwrap_or(&trace.stem_out);
+        let hw: usize = last_x.shape().dims()[2] * last_x.shape().dims()[3];
+        let mut buf = workspace.take(last_x.numel());
+        for (&g, plane) in grad_features.data().iter().zip(buf.chunks_exact_mut(hw)) {
+            plane.fill(g / hw as f32);
+        }
+        grad_xs.push(Tensor::from_vec(last_x.shape().clone(), buf).expect("length matches shape"));
+    }
+
+    // Cells in reverse order, all members in lockstep.
+    for cell_idx in (0..first.cells.len()).rev() {
+        let mut node_grads: Vec<Vec<Tensor>> = std::mem::take(&mut grad_xs)
+            .into_iter()
+            .zip(traces)
+            .map(|(gx, trace)| {
+                let mut ng: Vec<Tensor> = trace.nodes[cell_idx][..NUM_NODES - 1]
+                    .iter()
+                    .map(|nd| pooled_zeros(nd.shape().clone(), workspace))
+                    .collect();
+                ng.push(gx);
+                ng
+            })
+            .collect();
+        // A node gradient is structurally zero until an edge accumulates
+        // into it; one flag set per member skips dead subgraphs without a
+        // full-tensor norm pass per edge. (An accumulated-but-numerically-
+        // zero gradient is processed; it contributes zeros, identical to
+        // skipping.)
+        let mut touched = vec![[false; NUM_NODES]; networks.len()];
+        for t in &mut touched {
+            t[NUM_NODES - 1] = true;
+        }
+
+        for edge in EdgeId::all().iter().rev() {
+            let (src, dst) = edge.endpoints();
+            // Partition members by this edge's operation, skipping members
+            // whose upstream node is structurally zero. Non-conv gradients
+            // accumulate immediately (each member has exactly one op per
+            // edge, so per-member order across edges stays canonical); conv
+            // members bucket by kernel size for one packed dispatch per
+            // bucket.
+            let mut conv_buckets: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+            for (p, net) in networks.iter().enumerate() {
+                if !touched[p][dst] {
+                    continue;
+                }
+                match net.cell.edge_ops()[edge.0] {
+                    Operation::None => {}
+                    Operation::SkipConnect => {
+                        let (lower, upper) = node_grads[p].split_at_mut(dst);
+                        lower[src].axpy(1.0, &upper[0]).map_err(NnError::from)?;
+                        touched[p][src] = true;
+                    }
+                    Operation::AvgPool3x3 => {
+                        let g = backend.avg_pool2d_backward(
+                            &node_grads[p][dst],
+                            traces[p].nodes[cell_idx][src].shape(),
+                            3,
+                            1,
+                            1,
+                            workspace,
+                        )?;
+                        node_grads[p][src].axpy(1.0, &g).map_err(NnError::from)?;
+                        workspace.recycle(g.into_vec());
+                        touched[p][src] = true;
+                    }
+                    Operation::NorConv1x1 => conv_buckets[0].push(p),
+                    Operation::NorConv3x3 => conv_buckets[1].push(p),
+                }
+            }
+            for bucket in &conv_buckets {
+                let Some(&lead) = bucket.first() else {
+                    continue;
+                };
+                let conv = networks[lead].cells[cell_idx].edge_convs[edge.0]
+                    .as_ref()
+                    .expect("conv edge always has a layer");
+                // Position-keyed seeding makes every bucket member's weight
+                // tensor identical to the lead's.
+                debug_assert!(bucket.iter().all(|&p| {
+                    networks[p].cells[cell_idx].edge_convs[edge.0]
+                        .as_ref()
+                        .is_some_and(|c| c.weight() == conv.weight())
+                }));
+                let activated: Vec<Tensor> = bucket
+                    .iter()
+                    .map(|&p| pooled_relu(&traces[p].nodes[cell_idx][src], workspace))
+                    .collect();
+                {
+                    let inputs: Vec<&Tensor> = activated.iter().collect();
+                    let grads: Vec<&Tensor> = bucket.iter().map(|&p| &node_grads[p][dst]).collect();
+                    let mut slots = disjoint_slots(matrices, bucket, |p| {
+                        (params[p], offsets[p].0[cell_idx][edge.0])
+                    });
+                    backend.conv2d_backward_weight_per_sample_packed(
+                        &inputs,
+                        &grads,
+                        conv.out_channels(),
+                        conv.spec(),
+                        workspace,
+                        &mut slots,
+                    )?;
+                }
+                note_dispatch(bucket.len());
+                let g_srcs = {
+                    let grads: Vec<&Tensor> = bucket.iter().map(|&p| &node_grads[p][dst]).collect();
+                    backend.conv2d_backward_input_packed(
+                        conv.weight(),
+                        &grads,
+                        activated[0].shape(),
+                        conv.spec(),
+                        workspace,
+                    )?
+                };
+                note_dispatch(bucket.len());
+                for t in activated {
+                    workspace.recycle(t.into_vec());
+                }
+                for (&p, mut g_src) in bucket.iter().zip(g_srcs) {
+                    // ReLU backward, in place on the input gradient.
+                    let node = &traces[p].nodes[cell_idx][src];
+                    for (g, &x) in g_src.data_mut().iter_mut().zip(node.data()) {
+                        if x <= 0.0 {
+                            *g = 0.0;
+                        }
+                    }
+                    node_grads[p][src]
+                        .axpy(1.0, &g_src)
+                        .map_err(NnError::from)?;
+                    workspace.recycle(g_src.into_vec());
+                    touched[p][src] = true;
+                }
+            }
+        }
+        grad_xs = node_grads
+            .into_iter()
+            .map(|ng| {
+                let mut drain = ng.into_iter();
+                let g0 = drain.next().expect("node 0 gradient");
+                for t in drain {
+                    workspace.recycle(t.into_vec());
+                }
+                g0
+            })
+            .collect();
+    }
+
+    // Stem, per sample, packed across the members: every member's stem
+    // backward consumes the identical probe batch, so the packed kernel
+    // lowers it once for the whole dispatch.
+    {
+        let inputs: Vec<&Tensor> = networks.iter().map(|_| batch).collect();
+        let grads: Vec<&Tensor> = grad_xs.iter().collect();
+        let members: Vec<usize> = (0..networks.len()).collect();
+        let mut slots = disjoint_slots(matrices, &members, |p| (params[p], 0));
+        backend.conv2d_backward_weight_per_sample_packed(
+            &inputs,
+            &grads,
+            first.stem.out_channels(),
+            first.stem.spec(),
+            workspace,
+            &mut slots,
+        )?;
+    }
+    note_dispatch(networks.len());
+    for g in grad_xs {
+        workspace.recycle(g.into_vec());
+    }
+    Ok(())
 }
 
 /// Extracts sample `i` of an NCHW batch as a batch of one.
@@ -1867,8 +1646,9 @@ fn note_pack_backward_dispatch(members: usize) {
 /// that conv on that edge, including members whose input another member's
 /// equal prefix supplied (those are also counted by the telemetry counter
 /// `nn.pack_forward.shared_inputs`). A *backward* dispatch is one packed
-/// weight-gradient or packed input-gradient bucket (the stem's full-width
-/// packed backward included).
+/// weight-gradient or packed input-gradient bucket of a pack of two or more
+/// members (the stem's full-width packed backward included). A pack of one
+/// is solo evaluation and counts nothing in either direction.
 /// `members / dispatches` is therefore the measured average pack fill of
 /// each sweep — the number the search-layer fill gauges and batch-stat
 /// counters report. Snapshot with [`pack_kernel_stats`] and diff with
@@ -2189,10 +1969,14 @@ mod tests {
     proptest::proptest! {
         /// Property form of the batched-vs-looped equivalence: random cells
         /// from the full NAS-Bench-201 space, the batch sizes the edge cases
-        /// live at (1, 2, 7), both pinned convolution engines.
+        /// live at (1, 2, 7), both pinned convolution engines. The random
+        /// cell runs solo (a pack of one) and packed with two other random
+        /// cells; every member's rows must equal its own looped oracle.
         #[test]
         fn batched_per_sample_gradients_match_looped_across_random_cells(
             cell_index in 0usize..15_625,
+            other_a in 0usize..15_625,
+            other_b in 0usize..15_625,
             batch_choice in 0usize..3,
             engine_choice in 0usize..2,
             seed in 0u64..1_000,
@@ -2200,11 +1984,14 @@ mod tests {
             use micronas_tensor::{set_conv_engine, ConvEngine};
             let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
             let space = SearchSpace::nas_bench_201();
-            let cell = space.cell(cell_index).unwrap();
+            let cells: Vec<CellTopology> = [cell_index, other_a, other_b]
+                .iter()
+                .map(|&i| space.cell(i).unwrap())
+                .collect();
             let mut config = ProxyNetworkConfig::tiny(3);
             config.input_resolution = 6;
             let n = [1usize, 2, 7][batch_choice];
-            let net = CellNetwork::new(&cell, &config, seed).unwrap();
+            let pack = CellNetworkPack::new(&cells, &config, seed).unwrap();
             let batch = random_batch(&config, n, seed + 1);
             let mut ws = Workspace::default();
             set_conv_engine(if engine_choice == 0 {
@@ -2212,12 +1999,30 @@ mod tests {
             } else {
                 ConvEngine::Im2colGemm
             });
-            let fast = net.per_sample_gradient_matrix_with(&batch, &mut ws);
-            let looped = net.per_sample_gradients_looped_with(&batch, &mut ws);
+            let solo = pack.networks()[0].per_sample_gradient_matrix_with(&batch, &mut ws);
+            let packed = pack.per_sample_gradient_matrices_with(&batch, &mut ws);
+            let looped: Result<Vec<_>> = pack
+                .networks()
+                .iter()
+                .map(|net| net.per_sample_gradients_looped_with(&batch, &mut ws))
+                .collect();
             set_conv_engine(ConvEngine::Auto);
-            let (fast, looped) = (fast.unwrap(), looped.unwrap());
-            for (b, slow) in looped.iter().enumerate() {
-                proptest::prop_assert_eq!(fast.row(b), slow.values(), "sample {}", b);
+            let (solo, packed, looped) = (solo.unwrap(), packed.unwrap(), looped.unwrap());
+            for (b, slow) in looped[0].iter().enumerate() {
+                proptest::prop_assert_eq!(solo.row(b), slow.values(), "solo sample {}", b);
+            }
+            for (member, (fast, oracle)) in packed.iter().zip(&looped).enumerate() {
+                for (b, slow) in oracle.iter().enumerate() {
+                    proptest::prop_assert!(
+                        fast.row(b)
+                            .iter()
+                            .zip(slow.values())
+                            .all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "member {} sample {}",
+                        member,
+                        b
+                    );
+                }
             }
         }
     }
@@ -2476,37 +2281,6 @@ mod tests {
             }
         }
         set_conv_engine(ConvEngine::Auto);
-    }
-
-    /// The packed backward toggle changes dispatch shape only: matrices
-    /// from the packed sweep and the per-member solo loop are bitwise
-    /// identical, which is what lets benches use the toggle as a baseline.
-    #[test]
-    fn packed_backward_toggle_is_bitwise_invisible() {
-        let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let cells = pack_test_cells();
-        let config = ProxyNetworkConfig::tiny(4);
-        let batch = random_batch(&config, 3, 99);
-        let packed = CellNetworkPack::new(&cells, &config, 5)
-            .unwrap()
-            .per_sample_gradient_matrices_with(&batch, &mut Workspace::default())
-            .unwrap();
-        let solo_loop = CellNetworkPack::new(&cells, &config, 5)
-            .unwrap()
-            .with_packed_backward(false)
-            .per_sample_gradient_matrices_with(&batch, &mut Workspace::default())
-            .unwrap();
-        assert_eq!(packed.len(), solo_loop.len());
-        for (i, (a, b)) in packed.iter().zip(&solo_loop).enumerate() {
-            assert_eq!(a.num_parameters(), b.num_parameters());
-            for s in 0..a.num_samples() {
-                assert_eq!(
-                    a.row(s),
-                    b.row(s),
-                    "member {i} sample {s}: toggle changed values"
-                );
-            }
-        }
     }
 
     /// One packed gradient sweep bumps the global fill counters, and the

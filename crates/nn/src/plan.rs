@@ -4,7 +4,8 @@
 //! The lowering replays the eager code paths op for op:
 //! [`lower`] with [`PlanMode::Forward`] mirrors the eager forward (a pack
 //! of one, `forward_members` in `network.rs`) and [`PlanMode::PerSampleGrad`]
-//! mirrors `CellNetwork::backward_per_sample_into` — same kernels, same
+//! mirrors the eager per-sample sweep (a pack of one, `backward_members`)
+//! — same kernels, same
 //! zero-init + ordered-axpy accumulation, same ReLU recompute in the
 //! backward sweep. The eager forward ReLU-activates each node once for all
 //! its conv edges, where the graph applies one ReLU per edge; the values

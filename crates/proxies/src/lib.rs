@@ -66,7 +66,7 @@ pub use error::ProxyError;
 pub use jacobian::{JacobianCovarianceConfig, JacobianCovarianceProxy};
 pub use linear_regions::{LinearRegionConfig, LinearRegionEvaluator, LinearRegionReport};
 pub use metric::{metric_ids, MetricSet};
-pub use ntk::{GradientPath, NtkConfig, NtkEvaluator, NtkReport};
+pub use ntk::{NtkConfig, NtkEvaluator, NtkReport};
 pub use proxy::{fingerprint_network, fold_backend, LinearRegionProxy, NtkProxy, Proxy};
 pub use scratch::{with_thread_workspace, with_thread_workspace_capped};
 pub use synflow::{SynFlowConfig, SynFlowProxy};

@@ -3,7 +3,7 @@
 use crate::{ProxyError, Result};
 use micronas_datasets::{DatasetKind, SyntheticDataset};
 use micronas_graph::Compiler;
-use micronas_nn::{CellNetwork, CellNetworkPack, PerSampleGradients, ProxyNetworkConfig};
+use micronas_nn::{CellNetworkPack, PerSampleGradients, ProxyNetworkConfig};
 use micronas_searchspace::CellTopology;
 use micronas_tensor::{
     paper_default_backend, sym_eigenvalues_with, EigenOptions, EigenReport, KernelBackend, Shape,
@@ -114,42 +114,11 @@ impl NtkReport {
     }
 }
 
-/// Which per-sample gradient formulation the NTK evaluator runs.
-///
-/// Both produce the same per-sample gradients (property-tested bit-for-bit
-/// under pinned convolution engines); they differ only in how the work is
-/// scheduled, and the two Gram builds differ at reduction-order (~1e-15
-/// relative) level. This knob exists for the `ntk_engine` benchmark and for
-/// regression hunting — production code should leave the default
-/// [`GradientPath::Batched`] in place. In particular, results produced
-/// under [`GradientPath::Looped`] must **never** be written into a shared
-/// [`micronas-store`] evaluation store under the *built-in* zero-cost keys:
-/// those keys do not encode the formulation, and the store's
-/// bitwise-identity guarantee assumes every writer runs the default path.
-/// (The store-writing search contexts always construct default evaluators,
-/// so this concerns code that inserts records by hand. A looped evaluator
-/// registered as a *plugin* via `NtkProxy::from_evaluator` is safe: the
-/// proxy fingerprint folds a non-default gradient path, so its records can
-/// never alias the batched ones.)
-///
-/// [`micronas-store`]: https://docs.rs/micronas-store
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GradientPath {
-    /// One forward pass and one backward sweep over the whole batch; every
-    /// conv edge emits all per-sample weight gradients from a shared im2col
-    /// into a contiguous `[n, P]` matrix, and the Gram matrix is one
-    /// `G = J·Jᵀ` GEMM.
-    #[default]
-    Batched,
-    /// The pre-batching formulation: one full backward pass per sample and
-    /// n² scalar dot products for the Gram matrix.
-    Looped,
-}
-
 /// Evaluates the NTK condition number of candidate cells.
 ///
 /// For each repeat the evaluator samples a fresh mini-batch from the
-/// synthetic dataset, builds a freshly initialised [`CellNetwork`], computes
+/// synthetic dataset, builds a freshly initialised
+/// [`micronas_nn::CellNetwork`], computes
 /// per-sample parameter gradients `g_i = ∇θ f(x_i)`, centres them
 /// (`ĝ_i = g_i - mean(g)`) and forms the normalised Gram matrix
 /// `G[i][j] = ĝ_i · ĝ_j / (‖ĝ_i‖ ‖ĝ_j‖)`, whose spectrum — with the
@@ -161,10 +130,8 @@ pub enum GradientPath {
 #[derive(Debug, Clone)]
 pub struct NtkEvaluator {
     config: NtkConfig,
-    gradient_path: GradientPath,
     backend: Arc<dyn KernelBackend>,
     compiler: Option<Arc<dyn Compiler>>,
-    packed_backward: bool,
 }
 
 impl NtkEvaluator {
@@ -173,31 +140,9 @@ impl NtkEvaluator {
     pub fn new(config: NtkConfig) -> Self {
         Self {
             config,
-            gradient_path: GradientPath::default(),
             backend: paper_default_backend(),
             compiler: None,
-            packed_backward: true,
         }
-    }
-
-    /// Enables or disables the packed backward sweep inside
-    /// [`NtkEvaluator::evaluate_pack_in`] (enabled by default). Both
-    /// settings produce bitwise-identical reports — the toggle only changes
-    /// whether per-sample gradients are swept per member or packed — so
-    /// this knob, like the pack width, is *not* part of any fingerprint; it
-    /// exists so benchmarks can measure forward-only packing as a baseline.
-    #[must_use]
-    pub fn with_packed_backward(mut self, packed_backward: bool) -> Self {
-        self.packed_backward = packed_backward;
-        self
-    }
-
-    /// Returns a copy pinned to a specific per-sample gradient formulation
-    /// (benchmarks compare [`GradientPath::Batched`] against
-    /// [`GradientPath::Looped`]).
-    pub fn with_gradient_path(mut self, path: GradientPath) -> Self {
-        self.gradient_path = path;
-        self
     }
 
     /// Returns a copy running on an explicit execution backend. The backend
@@ -214,10 +159,10 @@ impl NtkEvaluator {
         &self.backend
     }
 
-    /// Returns a copy routing the batched gradient sweep through a compiled
-    /// kernel-graph plan ([`micronas_nn::CellNetwork::with_compiler`]). The
-    /// looped reference path ignores the compiler (it exists precisely to
-    /// stay the eager oracle).
+    /// Returns a copy routing the per-sample gradient sweep through a
+    /// compiled kernel-graph plan ([`micronas_nn::CellNetwork::with_compiler`]).
+    /// Compiled plans are solo, so [`NtkEvaluator::evaluate_pack_in`] then
+    /// runs one plan per member (same values; only the schedule differs).
     #[must_use]
     pub fn with_compiler(mut self, compiler: Arc<dyn Compiler>) -> Self {
         self.compiler = Some(compiler);
@@ -227,11 +172,6 @@ impl NtkEvaluator {
     /// The graph compiler in force, if any (`None` means eager execution).
     pub fn compiler(&self) -> Option<&Arc<dyn Compiler>> {
         self.compiler.as_ref()
-    }
-
-    /// The gradient formulation in force.
-    pub fn gradient_path(&self) -> GradientPath {
-        self.gradient_path
     }
 
     /// The evaluator's configuration.
@@ -276,41 +216,9 @@ impl NtkEvaluator {
         seed: u64,
         workspace: &mut Workspace,
     ) -> Result<NtkReport> {
-        self.config.validate()?;
-        let mut net_config = self.config.network;
-        net_config.num_classes = dataset.num_classes().min(16);
-        self.evaluate_with_workspace(cell, dataset, seed, net_config, workspace)
-    }
-
-    fn evaluate_with_workspace(
-        &self,
-        cell: CellTopology,
-        dataset: DatasetKind,
-        seed: u64,
-        net_config: ProxyNetworkConfig,
-        workspace: &mut Workspace,
-    ) -> Result<NtkReport> {
         let _span = micronas_telemetry::span!("proxy.ntk");
-        let mut acc = NtkAccumulator::new(&self.config);
-
-        for repeat in 0..self.config.repeats {
-            let repeat_seed = seed.wrapping_add(repeat as u64).wrapping_mul(0x9E37_79B9);
-            let data = SyntheticDataset::new(dataset, repeat_seed);
-            let batch = data.sample_batch_with_stream(
-                self.config.batch_size,
-                net_config.input_resolution,
-                repeat as u64,
-            )?;
-            let mut net =
-                CellNetwork::with_backend(&cell, &net_config, repeat_seed, self.backend.clone())?;
-            if let Some(compiler) = &self.compiler {
-                net = net.with_compiler(Arc::clone(compiler));
-            }
-            let gram = self.gram_matrix(&net, &batch.images, workspace)?;
-            acc.absorb(repeat, &gram)?;
-        }
-
-        Ok(acc.finish(&self.config))
+        let mut reports = self.evaluate_cells(&[cell], dataset, seed, workspace)?;
+        Ok(reports.remove(0))
     }
 
     /// Cross-candidate mega-batched evaluation: every cell in the pack is
@@ -325,10 +233,6 @@ impl NtkEvaluator {
     /// Element `i` of the result is bitwise identical to solo evaluation of
     /// `cells[i]`.
     ///
-    /// A non-default [`GradientPath`] has no packed formulation; the pack
-    /// falls back to per-candidate solo evaluation in that case (values are
-    /// the same either way — only scheduling differs).
-    ///
     /// # Errors
     ///
     /// Returns a [`ProxyError`] if the configuration is invalid or any
@@ -340,17 +244,35 @@ impl NtkEvaluator {
         seed: u64,
         workspace: &mut Workspace,
     ) -> Result<Vec<NtkReport>> {
+        let _span = micronas_telemetry::span!("proxy.ntk.pack");
+        self.evaluate_cells(cells, dataset, seed, workspace)
+    }
+
+    /// The sweep shared by [`NtkEvaluator::evaluate_in`] (a pack of one)
+    /// and [`NtkEvaluator::evaluate_pack_in`], outside their telemetry
+    /// spans.
+    ///
+    /// Per repeat, each member's per-sample gradients `[n, P]` give the raw
+    /// Gram `G = J·Jᵀ` in one GEMM, which [`finish_gram`] double-centres and
+    /// **norm-normalises**. The proxy networks omit batch normalisation, so
+    /// at random initialisation the per-sample gradient *norms* spread over
+    /// several orders of magnitude with depth; that norm spread dominates
+    /// the raw Gram spectrum and inverts the trainability ranking the
+    /// paper's indicator relies on. Normalising each gradient to unit
+    /// length keeps the angular structure — how sample-specific the tangent
+    /// features are — which is the quantity the condition number is meant
+    /// to capture.
+    fn evaluate_cells(
+        &self,
+        cells: &[CellTopology],
+        dataset: DatasetKind,
+        seed: u64,
+        workspace: &mut Workspace,
+    ) -> Result<Vec<NtkReport>> {
         self.config.validate()?;
         if cells.is_empty() {
             return Ok(Vec::new());
         }
-        if self.gradient_path != GradientPath::Batched {
-            return cells
-                .iter()
-                .map(|&cell| self.evaluate_in(cell, dataset, seed, workspace))
-                .collect();
-        }
-        let _span = micronas_telemetry::span!("proxy.ntk.pack");
         let mut net_config = self.config.network;
         net_config.num_classes = dataset.num_classes().min(16);
 
@@ -377,7 +299,6 @@ impl NtkEvaluator {
             if let Some(compiler) = &self.compiler {
                 pack = pack.with_compiler(Arc::clone(compiler));
             }
-            pack = pack.with_packed_backward(self.packed_backward);
             let n = batch.images.shape().dims()[0];
             let matrices = pack.per_sample_gradient_matrices_with(&batch.images, workspace)?;
             for (acc, j) in accs.iter_mut().zip(matrices) {
@@ -396,51 +317,6 @@ impl NtkEvaluator {
             .collect())
     }
 
-    /// Builds the NTK Gram matrix of a batch from **norm-normalised**
-    /// per-sample gradients.
-    ///
-    /// The proxy networks omit batch normalisation, so at random
-    /// initialisation the per-sample gradient *norms* spread over several
-    /// orders of magnitude with depth; that norm spread dominates the raw
-    /// Gram spectrum and inverts the trainability ranking the paper's
-    /// indicator relies on. Normalising each gradient to unit length keeps
-    /// the angular structure — how sample-specific the tangent features are —
-    /// which is the quantity the condition number is meant to capture.
-    fn gram_matrix(
-        &self,
-        net: &CellNetwork,
-        images: &Tensor,
-        workspace: &mut Workspace,
-    ) -> Result<Tensor> {
-        let _span = micronas_telemetry::span!("proxy.ntk.gram");
-        let n = images.shape().dims()[0];
-        // Raw Gram in f64.
-        let raw = match self.gradient_path {
-            GradientPath::Batched => {
-                // One batched backward emits the contiguous [n, P] gradient
-                // matrix; the raw Gram is a single G = J·Jᵀ GEMM (f32 panels
-                // with f64 accumulation).
-                let j = net.per_sample_gradient_matrix_with(images, workspace)?;
-                let raw = self.raw_gram_from_matrix(n, &j);
-                workspace.recycle(j.into_values());
-                raw
-            }
-            GradientPath::Looped => {
-                let grads = net.per_sample_gradients_looped_with(images, workspace)?;
-                let mut raw = vec![0.0f64; n * n];
-                for i in 0..n {
-                    for j in i..n {
-                        let dot = grads[i].dot(&grads[j]);
-                        raw[i * n + j] = dot;
-                        raw[j * n + i] = dot;
-                    }
-                }
-                raw
-            }
-        };
-        Ok(finish_gram(n, &raw))
-    }
-
     /// The raw (uncentred) Gram `G = J·Jᵀ` of an `[n, P]` per-sample
     /// gradient matrix, as one GEMM with f64 accumulation.
     fn raw_gram_from_matrix(&self, n: usize, j: &PerSampleGradients) -> Vec<f64> {
@@ -451,8 +327,7 @@ impl NtkEvaluator {
     }
 }
 
-/// Double-centres and norm-normalises a raw Gram matrix (shared verbatim by
-/// the solo and packed evaluation paths, so they agree bitwise).
+/// Double-centres and norm-normalises a raw Gram matrix.
 ///
 /// Centring the gradients (ĝ_i = g_i − mean) is equivalent to
 /// double-centring the raw Gram: Ĝ = H G H with H = I − 11ᵀ/n. This
@@ -485,9 +360,8 @@ fn finish_gram(n: usize, raw: &[f64]) -> Tensor {
     gram
 }
 
-/// Per-candidate spectral accumulation across repeats, identical for the
-/// solo and packed paths: eigensolve the centred Gram (with a reused
-/// per-candidate scratch buffer, as solo evaluation keeps), drop the
+/// Per-candidate spectral accumulation across repeats: eigensolve the
+/// centred Gram (with a reused per-candidate scratch buffer), drop the
 /// structural zero mode, and average the condition indices.
 struct NtkAccumulator {
     condition_sum: f64,
@@ -623,21 +497,58 @@ mod tests {
         );
     }
 
+    /// The looped oracle end to end: per-sample gradients from one full
+    /// backward per sample and n² scalar Gram dots, through the same
+    /// centring, eigensolve and averaging.
+    fn looped_report(
+        eval: &NtkEvaluator,
+        cell: CellTopology,
+        dataset: DatasetKind,
+        seed: u64,
+    ) -> NtkReport {
+        let config = eval.config();
+        let mut net_config = config.network;
+        net_config.num_classes = dataset.num_classes().min(16);
+        let mut acc = NtkAccumulator::new(config);
+        let mut ws = Workspace::default();
+        for repeat in 0..config.repeats {
+            let repeat_seed = seed.wrapping_add(repeat as u64).wrapping_mul(0x9E37_79B9);
+            let batch = SyntheticDataset::new(dataset, repeat_seed)
+                .sample_batch_with_stream(
+                    config.batch_size,
+                    net_config.input_resolution,
+                    repeat as u64,
+                )
+                .unwrap();
+            let net = micronas_nn::CellNetwork::new(&cell, &net_config, repeat_seed).unwrap();
+            let grads = net
+                .per_sample_gradients_looped_with(&batch.images, &mut ws)
+                .unwrap();
+            let n = grads.len();
+            let mut raw = vec![0.0f64; n * n];
+            for i in 0..n {
+                for j in i..n {
+                    let dot = grads[i].dot(&grads[j]);
+                    raw[i * n + j] = dot;
+                    raw[j * n + i] = dot;
+                }
+            }
+            acc.absorb(repeat, &finish_gram(n, &raw)).unwrap();
+        }
+        acc.finish(config)
+    }
+
     #[test]
     fn batched_and_looped_paths_agree() {
         // The per-sample gradients are identical bit-for-bit (see the nn
-        // property tests); the Gram builds differ only in accumulation
+        // oracle tests); the Gram builds differ only in accumulation
         // order, so the spectra must agree to fine tolerance.
         let space = SearchSpace::nas_bench_201();
+        let eval = NtkEvaluator::new(NtkConfig::fast());
         for index in [7_000usize, 11_111, 404] {
             let cell = space.cell(index).unwrap();
-            let batched = NtkEvaluator::new(NtkConfig::fast())
-                .evaluate(cell, DatasetKind::Cifar10, 2)
-                .unwrap();
-            let looped = NtkEvaluator::new(NtkConfig::fast())
-                .with_gradient_path(GradientPath::Looped)
-                .evaluate(cell, DatasetKind::Cifar10, 2)
-                .unwrap();
+            let batched = eval.evaluate(cell, DatasetKind::Cifar10, 2).unwrap();
+            let looped = looped_report(&eval, cell, DatasetKind::Cifar10, 2);
             assert!(
                 (batched.condition_number - looped.condition_number).abs()
                     < 1e-3 * (1.0 + looped.condition_number.abs()),
@@ -678,23 +589,6 @@ mod tests {
             .evaluate_pack_in(&[], DatasetKind::Cifar10, 6, &mut ws)
             .unwrap()
             .is_empty());
-    }
-
-    /// A non-default gradient path has no packed formulation; the pack entry
-    /// falls back to per-candidate solo evaluation with identical results.
-    #[test]
-    fn packed_evaluation_falls_back_for_looped_gradients() {
-        let space = SearchSpace::nas_bench_201();
-        let cells = [space.cell(7_000).unwrap(), space.cell(404).unwrap()];
-        let eval = NtkEvaluator::new(NtkConfig::fast()).with_gradient_path(GradientPath::Looped);
-        let mut ws = Workspace::default();
-        let packed = eval
-            .evaluate_pack_in(&cells, DatasetKind::Cifar10, 3, &mut ws)
-            .unwrap();
-        for (cell, report) in cells.iter().zip(&packed) {
-            let solo = eval.evaluate(*cell, DatasetKind::Cifar10, 3).unwrap();
-            assert_eq!(&solo, report);
-        }
     }
 
     #[test]

@@ -159,14 +159,6 @@ impl Proxy for NtkProxy {
         h = hash_mix(h, c.repeats as u64);
         h = hash_mix(h, c.max_condition_index as u64);
         h = fingerprint_network(h, &c.network);
-        // The gradient formulation is part of the numerics (the two Gram
-        // builds differ at reduction-order level, and under a non-default
-        // backend the looped path runs entirely different kernels). The
-        // default ([`crate::GradientPath::Batched`]) folds nothing, so
-        // fingerprints minted before this knob existed stay valid.
-        if self.evaluator.gradient_path() != crate::GradientPath::Batched {
-            h = hash_mix(h, 1);
-        }
         fold_backend(h, self.evaluator.backend().as_ref())
     }
 

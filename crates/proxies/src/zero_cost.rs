@@ -85,17 +85,6 @@ impl ZeroCostEvaluator {
         self
     }
 
-    /// Returns a copy with the NTK sweep's packed per-sample backward
-    /// kernels toggled (see [`NtkEvaluator::with_packed_backward`]).
-    /// `false` restores the forward-only packing of the pre-packed-backward
-    /// pipeline — the linear-region indicator has no backward pass, so only
-    /// the NTK half changes. Results are bitwise identical either way.
-    #[must_use]
-    pub fn with_packed_backward(mut self, packed_backward: bool) -> Self {
-        self.ntk = self.ntk.with_packed_backward(packed_backward);
-        self
-    }
-
     /// A fast evaluator for tests and quick searches.
     pub fn fast() -> Self {
         Self::new(NtkConfig::fast(), LinearRegionConfig::fast())

@@ -34,7 +34,7 @@
 //! no backend is supplied explicitly.
 
 use crate::conv::{
-    check_backward_weight_args, conv2d_backward_input_packed_pooled, conv2d_backward_input_pooled,
+    check_backward_weight_args, conv2d_backward_input_pooled,
     conv2d_backward_weight_per_sample_into, conv2d_backward_weight_per_sample_packed_into,
     conv2d_backward_weight_unchecked, conv2d_backward_weight_with, conv2d_direct, conv2d_pooled,
     direct_weight_grad_sample, PackedGradSlot,
@@ -814,17 +814,6 @@ impl KernelBackend for BlockedGemmBackend {
         conv2d_backward_weight_per_sample_packed_into(
             inputs, grad_outs, c_out, spec, workspace, slots,
         )
-    }
-
-    fn conv2d_backward_input_packed(
-        &self,
-        weight: &Tensor,
-        grad_outs: &[&Tensor],
-        input_shape: &Shape,
-        spec: Conv2dSpec,
-        workspace: &mut Workspace,
-    ) -> Result<Vec<Tensor>> {
-        conv2d_backward_input_packed_pooled(weight, grad_outs, input_shape, spec, workspace)
     }
 
     fn avg_pool2d(

@@ -41,7 +41,7 @@
 //! behind batched per-sample gradients for the NTK Gram matrix, with
 //! [`conv2d_backward_weight_per_sample_direct`] as its naive-loop oracle.
 
-use crate::linalg::{gemm_nn, gemm_nn_uncounted, gemm_tn};
+use crate::linalg::{gemm_nn_uncounted, gemm_tn_uncounted};
 use crate::{Result, Shape, Tensor, TensorError, Workspace};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -432,25 +432,29 @@ fn conv2d_assign(
         conv2d_direct_unchecked(input, weight, spec, n, c_in, h, w, c_out, oh, ow, &mut out);
         return Ok(out);
     }
-    conv2d_gemm_unchecked(input, weight, spec, workspace, out.data_mut(), gemm_nn);
+    count_gemm_dispatch();
+    conv2d_gemm_unchecked(input, weight, spec, workspace, out.data_mut());
     Ok(out)
 }
 
-/// A `gemm_nn`-shaped multiply: [`gemm_nn`], or [`gemm_nn_uncounted`] for a
-/// caller that counts its own logical dispatch.
-type GemmNn = fn(usize, usize, usize, &[f32], &[f32], &mut [f32], bool);
+/// Counts one logical GEMM dispatch (`tensor.gemm.calls`) for a conv kernel
+/// call that takes the GEMM path, however many images it multiplies: the
+/// per-image products run uncounted.
+pub(crate) fn count_gemm_dispatch() {
+    micronas_telemetry::counter_add("tensor.gemm.calls", 1);
+}
 
 /// GEMM body of the forward conv, image by image: lower the image (a
 /// pointwise conv multiplies the image itself) and multiply it by the
 /// `[C_out, C_in·K·K]` weight matrix into its `[C_out, OH·OW]` slice of
-/// `out`, which is fully overwritten. Arguments have been validated.
+/// `out`, which is fully overwritten. Arguments have been validated; the
+/// caller counts the dispatch.
 fn conv2d_gemm_unchecked(
     input: &Tensor,
     weight: &Tensor,
     spec: Conv2dSpec,
     workspace: &mut Workspace,
     out: &mut [f32],
-    gemm: GemmNn,
 ) {
     let id = input.shape().dims();
     let (n, c_in, h, w) = (id[0], id[1], id[2], id[3]);
@@ -467,7 +471,7 @@ fn conv2d_gemm_unchecked(
         for b in 0..n {
             let image = &input.data()[b * in_stride..(b + 1) * in_stride];
             let dst = &mut out[b * out_stride..(b + 1) * out_stride];
-            gemm(c_out, ckk, ohow, w_mat, image, dst, false);
+            gemm_nn_uncounted(c_out, ckk, ohow, w_mat, image, dst, false);
         }
         return;
     }
@@ -476,7 +480,7 @@ fn conv2d_gemm_unchecked(
         let image = &input.data()[b * in_stride..(b + 1) * in_stride];
         im2col(image, c_in, h, w, spec, oh, ow, col);
         let dst = &mut out[b * out_stride..(b + 1) * out_stride];
-        gemm(c_out, ckk, ohow, w_mat, col, dst, false);
+        gemm_nn_uncounted(c_out, ckk, ohow, w_mat, col, dst, false);
     }
 }
 
@@ -598,21 +602,14 @@ pub fn conv2d_forward_packed_pooled(
             .collect();
     }
 
-    micronas_telemetry::counter_add("tensor.gemm.calls", 1);
+    count_gemm_dispatch();
     let shape = Shape::nchw(n, c_out, oh, ow);
     Ok(inputs
         .iter()
         .map(|input| {
             let mut out = Tensor::from_vec(shape.clone(), workspace.take(shape.numel()))
                 .expect("length matches shape by construction");
-            conv2d_gemm_unchecked(
-                input,
-                weight,
-                spec,
-                workspace,
-                out.data_mut(),
-                gemm_nn_uncounted,
-            );
+            conv2d_gemm_unchecked(input, weight, spec, workspace, out.data_mut());
             out
         })
         .collect())
@@ -661,6 +658,7 @@ pub fn conv2d_backward_weight_with(
             input, grad_out, c_out, spec, n, c_in, h, w, oh, ow,
         ));
     }
+    count_gemm_dispatch();
 
     let mut grad_w = Tensor::zeros(Shape::nchw(c_out, c_in, k, k));
     let ohow = oh * ow;
@@ -686,7 +684,7 @@ pub fn conv2d_backward_weight_with(
         };
         let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
         transpose_into(g, c_out, ohow, g_t);
-        gemm_nn(ckk, ohow, c_out, bmat, g_t, w_t, true);
+        gemm_nn_uncounted(ckk, ohow, c_out, bmat, g_t, w_t, true);
     }
     let gw = grad_w.data_mut();
     transpose_into(w_t, ckk, c_out, gw);
@@ -799,6 +797,7 @@ pub fn conv2d_backward_weight_per_sample_into(
         }
         return Ok(());
     }
+    count_gemm_dispatch();
     // One shared im2col lowering per sample feeds that sample's
     // weight-gradient GEMM, in the same transposed narrow shape as
     // [`conv2d_backward_weight_with`] — so each batched per-sample gradient
@@ -816,7 +815,7 @@ pub fn conv2d_backward_weight_per_sample_into(
         };
         let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
         transpose_into(g, c_out, ohow, g_t);
-        gemm_nn(ckk, ohow, c_out, bmat, g_t, w_t, false);
+        gemm_nn_uncounted(ckk, ohow, c_out, bmat, g_t, w_t, false);
         let dst = &mut out[b * row_stride + offset..b * row_stride + offset + per_sample];
         transpose_into(w_t, ckk, c_out, dst);
     }
@@ -939,6 +938,7 @@ pub fn conv2d_backward_weight_per_sample_packed_into(
         }
         return Ok(());
     }
+    count_gemm_dispatch();
     let ohow = oh * ow;
     let ckk = c_in * k * k;
     let in_stride = c_in * h * w;
@@ -954,7 +954,7 @@ pub fn conv2d_backward_weight_per_sample_packed_into(
                 let image = &input.data()[b * in_stride..(b + 1) * in_stride];
                 let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
                 transpose_into(g, c_out, ohow, g_t);
-                gemm_nn(ckk, ohow, c_out, image, g_t, w_t, false);
+                gemm_nn_uncounted(ckk, ohow, c_out, image, g_t, w_t, false);
                 let dst = &mut slot.out[b * slot.row_stride + slot.offset..][..per_sample];
                 transpose_into(w_t, ckk, c_out, dst);
             }
@@ -993,7 +993,7 @@ pub fn conv2d_backward_weight_per_sample_packed_into(
             let bmat = &col[b * ckk * ohow..(b + 1) * ckk * ohow];
             let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
             transpose_into(g, c_out, ohow, g_t);
-            gemm_nn(ckk, ohow, c_out, bmat, g_t, w_t, false);
+            gemm_nn_uncounted(ckk, ohow, c_out, bmat, g_t, w_t, false);
             let dst = &mut slot.out[b * slot.row_stride + slot.offset..][..per_sample];
             transpose_into(w_t, ckk, c_out, dst);
         }
@@ -1268,6 +1268,7 @@ fn conv2d_backward_input_assign(
         );
         return Ok(grad_in);
     }
+    count_gemm_dispatch();
 
     let ohow = oh * ow;
     let ckk = c_in * k * k;
@@ -1280,7 +1281,7 @@ fn conv2d_backward_input_assign(
             let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
             let dst = &mut gi[b * in_stride..(b + 1) * in_stride];
             // grad_in_b [C_in, HW] = W [C_out, C_in]ᵀ · grad_out_b.
-            gemm_tn(ckk, c_out, ohow, w_mat, g, dst, false);
+            gemm_tn_uncounted(ckk, c_out, ohow, w_mat, g, dst, false);
         }
         return Ok(grad_in);
     }
@@ -1289,110 +1290,11 @@ fn conv2d_backward_input_assign(
     let stage = workspace.aux_buffer(ckk * ohow);
     for b in 0..n {
         let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
-        gemm_tn(ckk, c_out, ohow, w_mat, g, stage, false);
+        gemm_tn_uncounted(ckk, c_out, ohow, w_mat, g, stage, false);
         let dst = &mut gi[b * in_stride..(b + 1) * in_stride];
         col2im_add(stage, c_in, h, w, spec, oh, ow, dst);
     }
     Ok(grad_in)
-}
-
-/// Packed input gradients: one grouped dispatch computing
-/// [`conv2d_backward_input_pooled`] for every pack member in a single call.
-///
-/// Pack members sharing a bucket share the *weight* operand (position-keyed
-/// seeding makes same-edge weights bitwise-identical across a pack) while
-/// each carries its own output gradient. The grouped dispatch iterates the
-/// exact per-candidate schedule of the solo kernel — same `use_direct`
-/// decision, same per-sample `gemm_tn` shapes (a single cache-blocked
-/// schedule with no width-sensitive split), same `col2im` scatter — so the
-/// results are bitwise-identical to a loop of solo calls; the pack merely
-/// amortises the staging acquisition and keeps the shared weight hot across
-/// members. Gradients are drawn from the workspace recycling pool.
-///
-/// # Errors
-///
-/// Returns an error if any member's shapes are inconsistent with
-/// `input_shape` or `spec`.
-pub fn conv2d_backward_input_packed_pooled(
-    weight: &Tensor,
-    grad_outs: &[&Tensor],
-    input_shape: &Shape,
-    spec: Conv2dSpec,
-    workspace: &mut Workspace,
-) -> Result<Vec<Tensor>> {
-    let Some(first) = grad_outs.first() else {
-        return Ok(Vec::new());
-    };
-    let (n, c_in, h, w, c_out, oh, ow) =
-        check_backward_input_args(weight, first, input_shape, spec)?;
-    for grad_out in grad_outs {
-        check_backward_input_args(weight, grad_out, input_shape, spec)?;
-    }
-    let mut grads = Vec::with_capacity(grad_outs.len());
-    if use_direct(n, c_in, c_out, spec.kernel, oh, ow) {
-        for grad_out in grad_outs {
-            let mut grad_in = Tensor::from_vec(
-                input_shape.clone(),
-                workspace.take_zeroed(input_shape.numel()),
-            )
-            .expect("length matches shape by construction");
-            conv2d_backward_input_unchecked(
-                weight,
-                grad_out,
-                spec,
-                n,
-                c_in,
-                h,
-                w,
-                c_out,
-                oh,
-                ow,
-                &mut grad_in,
-            );
-            grads.push(grad_in);
-        }
-        return Ok(grads);
-    }
-    let ohow = oh * ow;
-    let ckk = c_in * spec.kernel * spec.kernel;
-    let in_stride = c_in * h * w;
-    let out_stride = c_out * ohow;
-    let w_mat = weight.data();
-    if spec.is_pointwise() {
-        for grad_out in grad_outs {
-            let mut grad_in = Tensor::from_vec(
-                input_shape.clone(),
-                workspace.take_zeroed(input_shape.numel()),
-            )
-            .expect("length matches shape by construction");
-            let gi = grad_in.data_mut();
-            for b in 0..n {
-                let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
-                let dst = &mut gi[b * in_stride..(b + 1) * in_stride];
-                gemm_tn(ckk, c_out, ohow, w_mat, g, dst, false);
-            }
-            grads.push(grad_in);
-        }
-        return Ok(grads);
-    }
-    // The staging slice re-uses one auxiliary allocation across the whole
-    // pack: every member's per-sample column gradient is fully overwritten
-    // before its `col2im` scatter, exactly as in the solo kernel.
-    for grad_out in grad_outs {
-        let raw = workspace.take_zeroed(input_shape.numel());
-        let stage = workspace.aux_buffer(ckk * ohow);
-        let mut grad_in = Tensor::from_vec(input_shape.clone(), raw)
-            .expect("length matches shape by construction");
-        let gi = grad_in.data_mut();
-        for b in 0..n {
-            let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
-            gemm_tn(ckk, c_out, ohow, w_mat, g, stage, false);
-            let dst = &mut gi[b * in_stride..(b + 1) * in_stride];
-            col2im_add(stage, c_in, h, w, spec, oh, ow, dst);
-        }
-        grads.push(grad_in);
-    }
-    Ok(grads)
 }
 
 pub(crate) fn check_backward_input_args(
@@ -1886,9 +1788,8 @@ mod tests {
         .is_err());
     }
 
-    /// Packed backward vs a loop of solo backward calls: bitwise, for both
-    /// the per-sample weight gradients and the input gradients, across pack
-    /// widths with interleaved shared/distinct inputs (odd members carry a
+    /// Packed per-sample weight gradients vs a loop of solo calls: bitwise,
+    /// across pack widths with interleaved shared/distinct inputs (odd members carry a
     /// fresh allocation holding member 0's exact bytes, the way every pack
     /// member's first edge consumes its own copy of the shared stem output).
     fn assert_packed_backward_matches_solo(
@@ -1901,7 +1802,6 @@ mod tests {
         let (n, c_in) = (dims[0], dims[1]);
         let (oh, ow) = spec.output_hw(dims[2], dims[3]);
         let per_sample = c_out * c_in * spec.kernel * spec.kernel;
-        let weight = random_tensor(Shape::nchw(c_out, c_in, spec.kernel, spec.kernel), seed);
         for width in [1usize, 2, 8] {
             let inputs: Vec<Tensor> = (0..width)
                 .map(|p| {
@@ -1970,31 +1870,6 @@ mod tests {
                         .zip(&solo)
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
                     "packed per-sample weight grads diverge from solo \
-                     (width {width}, member {p}, spec {spec:?})"
-                );
-            }
-
-            let packed_gi = conv2d_backward_input_packed_pooled(
-                &weight,
-                &grad_refs,
-                &shape,
-                spec,
-                &mut Workspace::default(),
-            )
-            .unwrap();
-            assert_eq!(packed_gi.len(), width);
-            for p in 0..width {
-                let solo_gi =
-                    conv2d_backward_input_pooled(&weight, &grad_outs[p], &shape, spec, &mut ws)
-                        .unwrap();
-                assert_eq!(packed_gi[p].shape(), solo_gi.shape());
-                assert!(
-                    packed_gi[p]
-                        .data()
-                        .iter()
-                        .zip(solo_gi.data())
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "packed input grads diverge from solo \
                      (width {width}, member {p}, spec {spec:?})"
                 );
             }
@@ -2142,15 +2017,6 @@ mod tests {
             &mut [],
         )
         .is_ok());
-        assert!(conv2d_backward_input_packed_pooled(
-            &random_tensor(Shape::nchw(4, 3, 3, 3), 74),
-            &[],
-            &Shape::nchw(2, 3, 8, 8),
-            spec,
-            &mut Workspace::default(),
-        )
-        .unwrap()
-        .is_empty());
     }
 
     proptest! {

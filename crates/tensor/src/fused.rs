@@ -19,8 +19,10 @@
 //! fusing compiler) fold their identity into the evaluation-store
 //! namespace, so fused numerics never mix with paper-pinned logs.
 
-use crate::conv::{check_backward_weight_args, check_conv_args, col2im_add, transpose_into};
-use crate::linalg::{gemm_nn, gemm_tn};
+use crate::conv::{
+    check_backward_weight_args, check_conv_args, col2im_add, count_gemm_dispatch, transpose_into,
+};
+use crate::linalg::{gemm_nn_uncounted, gemm_tn_uncounted};
 use crate::{Conv2dSpec, Result, Shape, Tensor, TensorError, Workspace};
 
 /// [`crate::conv2d`]'s im2col gather with the ReLU epilogue folded in:
@@ -107,6 +109,7 @@ pub fn conv2d_relu_gemm(
 ) -> Result<Tensor> {
     let (n, c_in, h, w, c_out, k) = check_conv_args(pre, weight, spec)?;
     micronas_telemetry::counter_add("tensor.fused.calls", 1);
+    count_gemm_dispatch();
     let (oh, ow) = spec.output_hw(h, w);
     let ohow = oh * ow;
     let ckk = c_in * k * k;
@@ -127,7 +130,7 @@ pub fn conv2d_relu_gemm(
             let image = &pre.data()[b * in_stride..(b + 1) * in_stride];
             im2col_relu(image, c_in, h, w, spec, oh, ow, col);
             let dst = &mut out_data[b * out_stride..(b + 1) * out_stride];
-            gemm_nn(c_out, ckk, ohow, w_mat, col, dst, false);
+            gemm_nn_uncounted(c_out, ckk, ohow, w_mat, col, dst, false);
         }
     }
     Ok(out)
@@ -180,6 +183,10 @@ pub fn conv2d_backward_fused(
         )));
     }
     micronas_telemetry::counter_add("tensor.fused.calls", 1);
+    // Two logical dispatches, as in the eager sweep: the weight gradient
+    // and the input gradient.
+    count_gemm_dispatch();
+    count_gemm_dispatch();
     let ohow = oh * ow;
     let ckk = c_in * k * k;
     let in_stride = c_in * h * w;
@@ -198,12 +205,12 @@ pub fn conv2d_backward_fused(
             // ReLU-fused lowering.
             im2col_relu(image, c_in, h, w, spec, oh, ow, col);
             transpose_into(g, c_out, ohow, g_t);
-            gemm_nn(ckk, ohow, c_out, col, g_t, w_t, false);
+            gemm_nn_uncounted(ckk, ohow, c_out, col, g_t, w_t, false);
             let dst = &mut matrix[b * row_stride + offset..b * row_stride + offset + per_sample];
             transpose_into(w_t, ckk, c_out, dst);
             // The activation columns are dead now — reuse `col` for the
             // column gradients, scatter them back, and mask in place.
-            gemm_tn(ckk, c_out, ohow, w_mat, g, col, false);
+            gemm_tn_uncounted(ckk, c_out, ohow, w_mat, g, col, false);
             let dst = &mut gi[b * in_stride..(b + 1) * in_stride];
             col2im_add(col, c_in, h, w, spec, oh, ow, dst);
             for (gv, &x) in dst.iter_mut().zip(image) {

@@ -74,9 +74,8 @@ pub use backend::{
     DEFAULT_ARENA_RETENTION_CAP,
 };
 pub use conv::{
-    conv2d, conv2d_backward_input, conv2d_backward_input_direct,
-    conv2d_backward_input_packed_pooled, conv2d_backward_input_pooled, conv2d_backward_input_with,
-    conv2d_backward_weight, conv2d_backward_weight_direct,
+    conv2d, conv2d_backward_input, conv2d_backward_input_direct, conv2d_backward_input_pooled,
+    conv2d_backward_input_with, conv2d_backward_weight, conv2d_backward_weight_direct,
     conv2d_backward_weight_per_sample_direct, conv2d_backward_weight_per_sample_into,
     conv2d_backward_weight_per_sample_packed_into, conv2d_backward_weight_per_sample_with,
     conv2d_backward_weight_with, conv2d_direct, conv2d_forward_packed_pooled, conv2d_pooled,

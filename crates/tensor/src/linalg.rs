@@ -284,6 +284,21 @@ pub fn gemm_tn(
     accumulate: bool,
 ) {
     micronas_telemetry::counter_add("tensor.gemm.calls", 1);
+    gemm_tn_uncounted(m, k, n, a, b, c, accumulate);
+}
+
+/// [`gemm_tn`] without its `tensor.gemm.calls` count, for a kernel that
+/// runs one logical dispatch as several products and counts it once. Still
+/// timed under the `tensor.gemm` span.
+pub(crate) fn gemm_tn_uncounted(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    accumulate: bool,
+) {
     let _span = micronas_telemetry::span!("tensor.gemm");
     assert_eq!(a.len(), k * m, "gemm: A buffer has wrong length");
     assert_eq!(b.len(), k * n, "gemm: B buffer has wrong length");

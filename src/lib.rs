@@ -116,16 +116,17 @@
 //!
 //! * the probe input batch is built once and shared by the whole pack;
 //! * the shared stem runs **one** forward for all pack members;
-//! * per-edge convolutions are bucketed by kernel geometry and their
-//!   im2col panels fused into one wide GEMM per layer
-//!   ([`tensor::KernelBackend::conv2d_forward_packed`]);
+//! * every node value the members compute alike (equal prefixes) is
+//!   computed once, and per-edge convolutions are bucketed by kernel
+//!   geometry into one packed dispatch per layer
+//!   ([`tensor::KernelBackend::conv2d_forward_packed`]) that runs each
+//!   distinct input image by image on the solo im2col + GEMM path;
 //! * the per-sample gradient sweep runs the same lockstep *backward*:
 //!   per (cell, edge, kernel-size) buckets dispatch through
-//!   [`tensor::KernelBackend::conv2d_backward_weight_per_sample_packed`]
-//!   and [`tensor::KernelBackend::conv2d_backward_input_packed`], and
-//!   members with the same topology (hence, at one seed, bitwise-equal
-//!   weights and traces) are swept once with duplicates' gradient
-//!   matrices copied from the representative.
+//!   [`tensor::KernelBackend::conv2d_backward_weight_per_sample_packed`],
+//!   which lowers the shared probe batch once for every member's stem,
+//!   and through its input-gradient companion, a per-member loop of the
+//!   solo kernel.
 //!
 //! Why this stays **bitwise identical** to one-at-a-time evaluation: the
 //! packed kernels iterate the exact solo per-candidate schedule — same
@@ -133,22 +134,26 @@
 //! accumulation order — and share work only between bitwise-equal
 //! operands (equal input bytes are lowered to one im2col panel; equal
 //! bytes in, equal bytes out). The blocked-GEMM backend overrides the
-//! packed entry points; every other backend inherits a per-member loop
-//! with identical numerics, and the NTK evaluator falls back to the solo
-//! path entirely when the gradient formulation is not the batched `[n,P]`
-//! one or a kernel-graph compiler is installed (compiled plans fuse
-//! within one candidate, not across). The cross-product is pinned in CI
+//! packed weight-gradient and forward entry points; every other backend
+//! inherits a per-member loop with identical numerics. A solo evaluation
+//! is the same sweep over a pack of one, and the NTK evaluator falls back
+//! to per-member solo plans only when a kernel-graph compiler is installed
+//! (compiled plans fuse within one candidate, not across). The cross-product is pinned in CI
 //! (`crates/core/tests/strategy_conformance.rs` over strategies × widths
 //! × threads; `tests/backend_conformance.rs` over gradient backends ×
 //! widths × threads), and the store namespace did not move.
 //!
 //! Measured effect (1-core container, width 8, best-of-3): **1.57×** on
-//! the sparse bench cell from forward packing alone (PR 6), and a further
+//! the sparse bench cell from forward packing alone, and a further
 //! **1.51×** end-to-end from the packed backward over forward-only
-//! packing on the same cell (PR 10, `ntk_engine.json`). Pack density is
+//! packing on the same cell (both measured before the forward-only path
+//! and its bench arm were retired). Pack density is
 //! observable as [`core::BatchStats`] on every [`core::SearchCost`],
-//! now split into forward/backward kernel fill; the `candidate_throughput`
-//! and `ntk_engine` benches gate both halves in CI smoke mode.
+//! now split into forward/backward kernel fill. The `candidate_throughput`
+//! bench gates packed against one-at-a-time evaluation in CI smoke mode,
+//! and exact counter tests hold the work of both sweeps
+//! (`crates/nn/tests/pack_sharing_footprint.rs`,
+//! `crates/nn/tests/pack_backward_footprint.rs`).
 //!
 //! # Observability (PR 7)
 //!

@@ -338,9 +338,8 @@ fn packed_proxy_evaluation_is_bitwise_identical_on_every_bitwise_backend() {
 /// The packed per-sample gradient sweep is bitwise-invisible on **every**
 /// gradient-capable backend — including numerically divergent ones, where
 /// the contract is identity to that backend's own solo sweep, not to the
-/// paper numerics. NTK condition numbers with the packed backward enabled
-/// (default) must equal the forward-only-packed sweep at pack widths 1/2/8
-/// and on a 1-thread and an N-thread rayon pool alike.
+/// paper numerics. NTK reports of packs of width 1/2/8 must equal per-cell
+/// solo evaluation, on a 1-thread and an N-thread rayon pool alike.
 #[test]
 fn packed_backward_sweep_is_bitwise_identical_on_every_gradient_backend() {
     use rayon::ThreadPoolBuilder;
@@ -349,10 +348,7 @@ fn packed_backward_sweep_is_bitwise_identical_on_every_gradient_backend() {
         if !backend.supports_gradients() {
             continue;
         }
-        let packed_backward = NtkEvaluator::new(NtkConfig::fast()).with_backend(backend.clone());
-        let solo_backward = NtkEvaluator::new(NtkConfig::fast())
-            .with_backend(backend.clone())
-            .with_packed_backward(false);
+        let evaluator = NtkEvaluator::new(NtkConfig::fast()).with_backend(backend.clone());
         for width in [1usize, 2, 8] {
             for threads in [1usize, 4] {
                 let pool = ThreadPoolBuilder::new()
@@ -364,16 +360,16 @@ fn packed_backward_sweep_is_bitwise_identical_on_every_gradient_backend() {
                     let got: Vec<_> = cells
                         .chunks(width)
                         .flat_map(|pack| {
-                            packed_backward
+                            evaluator
                                 .evaluate_pack_in(pack, DatasetKind::Cifar10, 7, &mut ws)
                                 .unwrap()
                         })
                         .collect();
                     let want: Vec<_> = cells
-                        .chunks(width)
-                        .flat_map(|pack| {
-                            solo_backward
-                                .evaluate_pack_in(pack, DatasetKind::Cifar10, 7, &mut ws)
+                        .iter()
+                        .map(|&cell| {
+                            evaluator
+                                .evaluate_in(cell, DatasetKind::Cifar10, 7, &mut ws)
                                 .unwrap()
                         })
                         .collect();
@@ -383,7 +379,7 @@ fn packed_backward_sweep_is_bitwise_identical_on_every_gradient_backend() {
                     got,
                     want,
                     "backend {} width {width} threads {threads}: packed backward \
-                     diverged from the solo per-sample sweep",
+                     diverged from solo evaluation",
                     backend.id()
                 );
             }

@@ -16,12 +16,15 @@ use rayon::ThreadPoolBuilder;
 use std::sync::Arc;
 
 // Ceilings, captured once the pack forward shared equal prefixes. Before
-// that, the same search lowered 9 642 240 bytes in 1 005 GEMM calls.
+// that, the same search lowered 9 642 240 bytes in 1 005 GEMM calls. The
+// GEMM ceiling was re-captured (808 → 289) when every conv kernel began to
+// count one call per kernel call instead of one per image.
 
 /// Bytes lowered by im2col over the whole search.
 const IM2COL_BYTES_CEILING: u64 = 3_732_480;
-/// Logical GEMM dispatches.
-const GEMM_CALLS_CEILING: u64 = 808;
+/// Logical GEMM dispatches: one per GEMM-path conv kernel call, plus the
+/// plain GEMMs (classifier, Gram).
+const GEMM_CALLS_CEILING: u64 = 289;
 /// Candidates whose proxies were computed, solo or in a pack.
 const COMPUTED_CANDIDATES_CEILING: u64 = 31;
 /// Packed evaluation dispatches.
