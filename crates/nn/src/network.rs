@@ -38,8 +38,6 @@ pub(crate) struct CellInstance {
 /// Intermediate tensors of a forward pass, retained for backpropagation.
 #[derive(Debug, Clone)]
 struct ForwardTrace {
-    /// Network input.
-    input: Tensor,
     /// Output of the stem convolution (input to the first cell).
     stem_out: Tensor,
     /// Node values for every cell: `nodes[cell][node]`.
@@ -333,7 +331,7 @@ impl CellNetwork {
         let trace = self.forward_trace(input, workspace)?;
         let batch = input.shape().dims()[0];
         let grad_logits = Tensor::ones(Shape::d2(batch, self.config.num_classes));
-        let grads = self.backward(&trace, &grad_logits, workspace)?;
+        let grads = self.backward(input, &trace, &grad_logits, workspace)?;
         recycle_trace(trace, workspace);
         Ok(grads)
     }
@@ -423,7 +421,7 @@ impl CellNetwork {
             let sample = extract_sample(batch, i)?;
             let trace = self.forward_trace_reference(&sample, workspace)?;
             let grad_logits = Tensor::ones(Shape::d2(1, self.config.num_classes));
-            out.push(self.backward(&trace, &grad_logits, workspace)?);
+            out.push(self.backward(&sample, &trace, &grad_logits, workspace)?);
         }
         Ok(out)
     }
@@ -473,7 +471,6 @@ impl CellNetwork {
             nodes_per_cell.push(nodes);
         }
         Ok(ForwardTrace {
-            input: input.clone(),
             stem_out,
             nodes: nodes_per_cell,
             features: global_avg_pool(&x)?,
@@ -500,8 +497,11 @@ impl CellNetwork {
         (table, offset)
     }
 
+    /// The summed backward of `sum(logits)` over the forward `trace` of
+    /// `input`.
     fn backward(
         &self,
+        input: &Tensor,
         trace: &ForwardTrace,
         grad_logits: &Tensor,
         workspace: &mut Workspace,
@@ -572,9 +572,7 @@ impl CellNetwork {
         cell_weight_grads.reverse();
 
         // Stem.
-        let (grad_stem_w, _) = self
-            .stem
-            .backward_on(backend, &trace.input, &grad_x, workspace)?;
+        let (grad_stem_w, _) = self.stem.backward_on(backend, input, &grad_x, workspace)?;
 
         // Flatten in canonical parameter order.
         let mut flat = Vec::with_capacity(self.num_parameters());
@@ -680,6 +678,7 @@ impl Value {
         if self.activated.is_some() {
             return;
         }
+        let _span = micronas_telemetry::span!("tensor.relu");
         let node = self.node();
         let (points, per_point) = split_batch(node);
         let mut buf = workspace.take(node.numel());
@@ -995,7 +994,6 @@ fn forward_members(
                 let last = nodes.last().map_or(&stem_out, |n| &n[NUM_NODES - 1]);
                 let features = global_avg_pool(last)?;
                 out.push(MemberForward::Trace(ForwardTrace {
-                    input: pooled_copy(input, workspace),
                     stem_out,
                     nodes,
                     features,
@@ -1058,8 +1056,9 @@ fn forward_traces(
 /// * **Same-geometry edges merge.** Per (cell, edge), the distinct inputs
 ///   of every same-kernel conv go through a single packed conv dispatch
 ///   that is bitwise-identical to per-candidate dispatch (the packed
-///   kernel runs the inputs image by image on the solo im2col + GEMM
-///   path).
+///   kernel runs the inputs image by image on the solo GEMM path: an
+///   implicit GEMM over each zero-padded image for stride-1 convs on the
+///   register-tiled schedule, im2col + GEMM otherwise).
 ///
 /// Backward passes merge too: [`CellNetworkPack::per_sample_gradient_matrices_with`]
 /// runs one lockstep backward sweep over the whole pack, bucketing conv
@@ -1556,6 +1555,7 @@ fn pooled_copy(t: &Tensor, workspace: &mut Workspace) -> Tensor {
 
 /// `relu(t)` into a pooled buffer (same values as [`relu`]).
 fn pooled_relu(t: &Tensor, workspace: &mut Workspace) -> Tensor {
+    let _span = micronas_telemetry::span!("tensor.relu");
     let mut buf = workspace.take(t.numel());
     relu_into(&mut buf, t.data());
     Tensor::from_vec(t.shape().clone(), buf).expect("length matches shape")
@@ -1581,7 +1581,6 @@ pub(crate) fn note_pre_activation_copy(t: &Tensor) {
 /// next trace reuses it. The small `features` tensor is left to the
 /// allocator.
 fn recycle_trace(trace: ForwardTrace, workspace: &mut Workspace) {
-    workspace.recycle(trace.input.into_vec());
     workspace.recycle(trace.stem_out.into_vec());
     for nodes in trace.nodes {
         for t in nodes {

@@ -613,6 +613,7 @@ fn avg_pool2d_direct(
     stride: usize,
     padding: usize,
 ) -> Result<Tensor> {
+    let _span = micronas_telemetry::span!("tensor.pool");
     if kernel == 0 || stride == 0 {
         return Err(TensorError::InvalidArgument(
             "kernel and stride must be positive".into(),
@@ -754,9 +755,9 @@ impl KernelBackend for BlockedGemmBackend {
         spec: Conv2dSpec,
         workspace: &mut Workspace,
     ) -> Result<Vec<Tensor>> {
-        // The packed free function runs every member on the solo im2col +
-        // GEMM path, so this override keeps the paper-default numerics at
-        // every pack width.
+        // The packed free function runs every member on the solo GEMM
+        // path, so this override keeps the paper-default numerics at every
+        // pack width.
         crate::conv::conv2d_forward_packed_pooled(inputs, weight, spec, workspace)
     }
 

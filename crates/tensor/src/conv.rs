@@ -11,11 +11,24 @@
 //!   loops. They are the correctness oracle — the property tests check the
 //!   GEMM path against them — and the faster choice for very small problems
 //!   where lowering overhead dominates.
-//! * **im2col + GEMM** (the default): each image is lowered to a column
-//!   matrix (`[C_in·K·K, OH·OW]`) inside a reusable [`Workspace`] buffer and
-//!   multiplied with the cache-blocked GEMM kernels from [`crate::ops`]'s
-//!   sibling module `linalg`. 1×1 / stride-1 / no-padding convolutions skip
-//!   the lowering entirely and multiply the input in place.
+//! * **GEMM** (the default): each image's column matrix
+//!   (`[C_in·K·K, OH·OW]`) is multiplied by the `[C_out, C_in·K·K]` weight
+//!   matrix with the cache-blocked GEMM kernels from [`crate::ops`]'s
+//!   sibling module `linalg`. The forward gets that column matrix one of
+//!   three ways:
+//!   - 1×1 / stride-1 / no-padding convolutions multiply the input in
+//!     place (their column matrix is the image);
+//!   - other stride-1 convolutions whose product takes the register-tiled
+//!     `row_band` schedule (`OH·OW ≤ 32` or `C_in·K·K ≥ 64`, e.g. the
+//!     paper's 8-channel conv3×3) copy the image once into a zero-padded
+//!     `[C_in, OH+K-1, OW+K-1]` staging buffer and read column-matrix
+//!     element `((c, ky, kx), (oy, ox))` straight from
+//!     `padded[c][oy+ky][ox+kx]`: an implicit GEMM (Chetlur et al. 2014),
+//!     bitwise the lowered product;
+//!   - everything else (the streaming `wide` schedule, strides above 1)
+//!     lowers each image with im2col into a reusable [`Workspace`] buffer.
+//!
+//!   The backward kernels keep explicit column matrices (im2col, col2im).
 //!
 //! [`ConvEngine::Auto`] (the default) picks direct kernels below a small
 //! work threshold and GEMM above it. Benchmarks and tests can pin an engine
@@ -41,7 +54,9 @@
 //! behind batched per-sample gradients for the NTK Gram matrix, with
 //! [`conv2d_backward_weight_per_sample_direct`] as its naive-loop oracle.
 
-use crate::linalg::{gemm_nn_uncounted, gemm_tn_uncounted};
+use crate::linalg::{
+    gemm_nn_implicit, gemm_nn_uncounted, gemm_tn_uncounted, uses_row_band, ColumnOperand,
+};
 use crate::{Result, Shape, Tensor, TensorError, Workspace};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -104,7 +119,7 @@ pub enum ConvEngine {
     Auto,
     /// Always use the direct (naive-loop) reference kernels.
     Direct,
-    /// Always use the im2col + GEMM kernels.
+    /// Always use the GEMM kernels.
     Im2colGemm,
 }
 
@@ -226,6 +241,19 @@ pub(crate) fn check_conv_args(
 // im2col lowering
 // ---------------------------------------------------------------------------
 
+/// Counts the column matrices of `images` images, `elems` floats each:
+/// `tensor.im2col.bytes` counts every column matrix a conv multiplies,
+/// whether lowered or read in place from a zero-padded image, and
+/// `tensor.im2col.lowered_bytes` only those materialized by [`im2col`]. A
+/// pointwise conv multiplies the image itself and counts neither.
+fn count_columns(elems: usize, images: usize, lowered: bool) {
+    let bytes = (elems * images * std::mem::size_of::<f32>()) as u64;
+    micronas_telemetry::counter_add("tensor.im2col.bytes", bytes);
+    if lowered {
+        micronas_telemetry::counter_add("tensor.im2col.lowered_bytes", bytes);
+    }
+}
+
 /// Lowers one image (`[C, H, W]` slice) into a `[C·K·K, OH·OW]` column
 /// matrix. Every element of `col` is written (padding regions get zeros), so
 /// the buffer needs no prior clearing.
@@ -240,13 +268,11 @@ pub(crate) fn im2col(
     ow: usize,
     col: &mut [f32],
 ) {
+    let _span = micronas_telemetry::span!("tensor.im2col");
     let k = spec.kernel;
     let ohow = oh * ow;
     debug_assert_eq!(col.len(), c_in * k * k * ohow);
-    micronas_telemetry::counter_add(
-        "tensor.im2col.bytes",
-        (c_in * k * k * ohow * std::mem::size_of::<f32>()) as u64,
-    );
+    count_columns(c_in * k * k * ohow, 1, true);
     for c in 0..c_in {
         let plane = &image[c * h * w..(c + 1) * h * w];
         for ky in 0..k {
@@ -444,11 +470,23 @@ pub(crate) fn count_gemm_dispatch() {
     micronas_telemetry::counter_add("tensor.gemm.calls", 1);
 }
 
-/// GEMM body of the forward conv, image by image: lower the image (a
-/// pointwise conv multiplies the image itself) and multiply it by the
-/// `[C_out, C_in·K·K]` weight matrix into its `[C_out, OH·OW]` slice of
-/// `out`, which is fully overwritten. Arguments have been validated; the
-/// caller counts the dispatch.
+/// GEMM body of the forward conv, image by image, into each image's
+/// `[C_out, OH·OW]` slice of `out`, which is fully overwritten. Each image's
+/// column matrix multiplies the `[C_out, C_in·K·K]` weight matrix in one of
+/// three forms:
+///
+/// * a pointwise conv multiplies the image itself;
+/// * a stride-1 conv whose product takes the register-tiled schedule
+///   ([`uses_row_band`]) copies the image once into a zero-padded
+///   `[C_in, OH+K-1, OW+K-1]` staging buffer and multiplies that in place
+///   as its own column matrix ([`PaddedImage`], implicit GEMM);
+/// * every other conv lowers the image with [`im2col`] and multiplies the
+///   columns.
+///
+/// The implicit form is bitwise the lowered one: the schedule reads the
+/// same values (the padding is the same `0.0` that [`im2col`] writes) and
+/// accumulates each output element in the same order. Arguments have been
+/// validated; the caller counts the dispatch.
 fn conv2d_gemm_unchecked(
     input: &Tensor,
     weight: &Tensor,
@@ -475,12 +513,121 @@ fn conv2d_gemm_unchecked(
         }
         return;
     }
+    if spec.stride == 1 && uses_row_band(ckk, ohow) {
+        count_columns(ckk * ohow, n, false);
+        let (ph, pw) = (oh + k - 1, ow + k - 1);
+        let mut stack = [0; STACK_ROW_STARTS];
+        let mut heap = Vec::new();
+        let row_starts = if ckk <= STACK_ROW_STARTS {
+            &mut stack[..ckk]
+        } else {
+            heap.resize(ckk, 0);
+            &mut heap[..]
+        };
+        fill_row_starts(row_starts, k, ph, pw);
+        let padded = workspace.col_buffer(c_in * ph * pw);
+        for b in 0..n {
+            let image = &input.data()[b * in_stride..(b + 1) * in_stride];
+            pad_image(image, c_in, h, w, spec.padding, ph, pw, padded);
+            let columns = PaddedImage {
+                data: padded,
+                row_starts,
+                pw,
+                ow,
+            };
+            let dst = &mut out[b * out_stride..(b + 1) * out_stride];
+            gemm_nn_implicit(c_out, ckk, ohow, w_mat, &columns, dst);
+        }
+        return;
+    }
     let col = workspace.col_buffer(ckk * ohow);
     for b in 0..n {
         let image = &input.data()[b * in_stride..(b + 1) * in_stride];
         im2col(image, c_in, h, w, spec, oh, ow, col);
         let dst = &mut out[b * out_stride..(b + 1) * out_stride];
         gemm_nn_uncounted(c_out, ckk, ohow, w_mat, col, dst, false);
+    }
+}
+
+/// Copies one image (`[C, H, W]` slice) into `padded`, a `[C, PH, PW]`
+/// buffer, at offset `(pad, pad)` in every plane, and zeros the rest of
+/// the buffer. Every element of `padded` is written.
+#[allow(clippy::too_many_arguments)]
+fn pad_image(
+    image: &[f32],
+    c_in: usize,
+    h: usize,
+    w: usize,
+    pad: usize,
+    ph: usize,
+    pw: usize,
+    padded: &mut [f32],
+) {
+    let _span = micronas_telemetry::span!("tensor.pad");
+    debug_assert!(pad + h <= ph && pad + w <= pw);
+    for c in 0..c_in {
+        let src = &image[c * h * w..(c + 1) * h * w];
+        let dst = &mut padded[c * ph * pw..(c + 1) * ph * pw];
+        dst[..pad * pw].fill(0.0);
+        for y in 0..h {
+            let row = &mut dst[(pad + y) * pw..(pad + y + 1) * pw];
+            row[..pad].fill(0.0);
+            row[pad..pad + w].copy_from_slice(&src[y * w..(y + 1) * w]);
+            row[pad + w..].fill(0.0);
+        }
+        dst[(pad + h) * pw..].fill(0.0);
+    }
+}
+
+/// A zero-padded image (`[C, PH, PW]`, `PH = OH+K-1`, `PW = OW+K-1`) read
+/// in place as the `[C·K·K, OH·OW]` column matrix of a stride-1 conv:
+/// element `(p = (c, ky, kx), j = (oy, ox))` is `padded[c][oy+ky][ox+kx]`,
+/// the value [`im2col`] would have written there.
+struct PaddedImage<'a> {
+    data: &'a [f32],
+    /// Offset of `padded[c][ky][kx]` for every row `p = (c, ky, kx)`.
+    row_starts: &'a [usize],
+    pw: usize,
+    ow: usize,
+}
+
+/// Column-matrix depths (`C_in·K·K`) up to which the row-start table of a
+/// [`PaddedImage`] lives on the stack. A per-call heap table would scatter
+/// small allocations between the large pooled buffers and fragment the
+/// heap.
+const STACK_ROW_STARTS: usize = 512;
+
+/// Writes the [`PaddedImage::row_starts`] table of a `[C, PH, PW]` padded
+/// image and a `K`×`K` kernel into `starts` (`C·K·K` entries).
+fn fill_row_starts(starts: &mut [usize], k: usize, ph: usize, pw: usize) {
+    for (p, start) in starts.iter_mut().enumerate() {
+        let (c, ky, kx) = (p / (k * k), p / k % k, p % k);
+        *start = (c * ph + ky) * pw + kx;
+    }
+}
+
+impl ColumnOperand for PaddedImage<'_> {
+    #[inline(always)]
+    fn for_each_tile_row<const L: usize>(&self, j: usize, mut f: impl FnMut(usize, &[f32; L])) {
+        let (oy, ox) = (j / self.ow, j % self.ow);
+        if ox + L <= self.ow {
+            // The tile lies in one output row: each of its rows is a
+            // contiguous run of the padded image.
+            let at = oy * self.pw + ox;
+            for (p, &start) in self.row_starts.iter().enumerate() {
+                let run = &self.data[start + at..start + at + L];
+                f(p, run.try_into().expect("run of length L"));
+            }
+        } else {
+            // The tile straddles output rows: gather each of its rows.
+            let at: [usize; L] = std::array::from_fn(|l| {
+                let jl = j + l;
+                (jl / self.ow) * self.pw + jl % self.ow
+            });
+            for (p, &start) in self.row_starts.iter().enumerate() {
+                f(p, &std::array::from_fn(|l| self.data[start + at[l]]));
+            }
+        }
     }
 }
 
@@ -552,17 +699,20 @@ pub(crate) fn conv2d_direct_unchecked(
 /// layers share a geometry (`c_in, c_out, kernel, h, w`) share one weight
 /// matrix, so their `N·n` images form one logical `[C_out, C_in·K·K] ×
 /// [C_in·K·K, N·n·OH·OW]` product. It is run image by image on the solo
-/// path (lower one image, multiply it straight into its member's output):
-/// one image's column matrix (72 KiB at the paper's 8 channels, 16×16,
-/// conv3×3) stays in cache, while a column panel of the whole bucket
-/// (18 MiB for the paper's largest one) would not. Output tensors are
-/// drawn from the workspace recycling pool (recycle them like
-/// [`conv2d_pooled`] outputs).
+/// path, each image multiplied straight into its member's output: at the
+/// paper's 8 channels, 16×16, conv3×3 each image is copied into a
+/// zero-padded staging buffer (10 KiB) and read in place as its column
+/// matrix, and geometries off the register-tiled schedule lower one
+/// image's columns at a time. Either stays in cache, while a column panel
+/// of the whole bucket (18 MiB for the paper's largest one) would not.
+/// Output tensors are drawn from the workspace recycling pool (recycle
+/// them like [`conv2d_pooled`] outputs).
 ///
 /// **Bitwise contract:** the result is bit-for-bit identical to calling
-/// [`conv2d_pooled`] once per input: every image runs the same lowering and
-/// the same `gemm_nn` shape, so the same schedule. The direct/GEMM choice
-/// is made on one candidate's shape, exactly as the solo path makes it.
+/// [`conv2d_pooled`] once per input: every image takes the same column
+/// operand and the same `gemm_nn` shape, so the same schedule. The
+/// direct/GEMM choice is made on one candidate's shape, exactly as the solo
+/// path makes it.
 ///
 /// Counts one `tensor.gemm.calls` per call that takes the GEMM path, however
 /// many inputs and images it holds (a pack of one included; the direct
@@ -1547,6 +1697,83 @@ mod tests {
             Conv2dSpec::new(3, 1, 1),
             950,
         );
+    }
+
+    /// Runs `conv2d_gemm_unchecked` on one stride-1 geometry, with a
+    /// staging buffer full of NaN, and asserts it is bit for bit the
+    /// explicit `im2col` + `gemm_nn_uncounted` product of every image.
+    /// Returns whether the geometry took the implicit operand.
+    fn assert_gemm_forward_is_explicit_lowering(
+        (c_in, c_out, hw): (usize, usize, usize),
+        spec: Conv2dSpec,
+        batch: usize,
+        seed: u64,
+    ) -> bool {
+        let (k, pad) = (spec.kernel, spec.padding);
+        let (oh, ow) = spec.output_hw(hw, hw);
+        let (ckk, ohow) = (c_in * k * k, oh * ow);
+        let input = random_tensor(Shape::nchw(batch, c_in, hw, hw), seed);
+        let weight = random_tensor(Shape::nchw(c_out, c_in, k, k), !seed);
+
+        let mut ws = Workspace::default();
+        let side = hw + 2 * pad + k;
+        ws.col_buffer(c_in * side * side).fill(f32::NAN);
+        let mut got = vec![f32::NAN; batch * c_out * ohow];
+        conv2d_gemm_unchecked(&input, &weight, spec, &mut ws, &mut got);
+
+        let mut col = vec![0.0; ckk * ohow];
+        let mut want = vec![0.0; batch * c_out * ohow];
+        let images = input.data().chunks_exact(c_in * hw * hw);
+        for (image, dst) in images.zip(want.chunks_exact_mut(c_out * ohow)) {
+            im2col(image, c_in, hw, hw, spec, oh, ow, &mut col);
+            gemm_nn_uncounted(c_out, ckk, ohow, weight.data(), &col, dst, false);
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "c_in {c_in}, c_out {c_out}, {hw}x{hw}, k {k}, pad {pad}, batch {batch}"
+        );
+        !spec.is_pointwise() && uses_row_band(ckk, ohow)
+    }
+
+    /// The packed and solo forward share `conv2d_gemm_unchecked`, whose
+    /// stride-1 row-band convs multiply a zero-padded image in place. Over
+    /// a grid of geometries (16- and 8-wide tiles that straddle output
+    /// rows, scalar remainder columns, 1-row bands, kernels wider than the
+    /// padded image) it must be bit for bit the explicit lowering. The
+    /// staging buffer starts full of NaN, so a lane the padding copy skips
+    /// shows up as a mismatch.
+    #[test]
+    fn packed_implicit_forward_is_bitwise_the_explicit_lowering() {
+        let (mut points, mut implicit) = (0u64, 0);
+        for c_in in [1usize, 3, 8, 16] {
+            for c_out in [1usize, 3, 4, 8, 9] {
+                for hw in [1usize, 4, 5, 8, 12, 16, 17] {
+                    for (k, pad) in [(1, 0), (1, 1), (3, 0), (3, 1)] {
+                        for batch in [1, 3] {
+                            points += 1;
+                            let spec = Conv2dSpec::new(k, 1, pad);
+                            let geometry = (c_in, c_out, hw);
+                            if assert_gemm_forward_is_explicit_lowering(
+                                geometry, spec, batch, points,
+                            ) {
+                                implicit += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(points, 1120);
+        assert!(
+            implicit >= 400,
+            "only {implicit} grid points ran implicitly"
+        );
+        // A column matrix deeper than the stack row-start table.
+        let deep = (STACK_ROW_STARTS / 9 + 1, 4, 5);
+        let spec = Conv2dSpec::new(3, 1, 1);
+        assert!(assert_gemm_forward_is_explicit_lowering(deep, spec, 2, 0));
     }
 
     #[test]

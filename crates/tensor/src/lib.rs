@@ -18,8 +18,10 @@
 //! * **direct** naive loops — the correctness oracle, kept for tiny shapes
 //!   and exposed as [`conv2d_direct`] / [`conv2d_backward_weight_direct`] /
 //!   [`conv2d_backward_input_direct`];
-//! * **im2col + cache-blocked GEMM** ([`gemm_nn`], [`gemm_nt`], [`gemm_tn`])
-//!   — the default for real workloads.
+//! * **cache-blocked GEMM** ([`gemm_nn`], [`gemm_nt`], [`gemm_tn`]) over
+//!   each image's column matrix, lowered by im2col or, for the paper's
+//!   stride-1 conv3×3 forward, read in place from a zero-padded image —
+//!   the default for real workloads.
 //!
 //! The `*_with` conv entry points thread a reusable [`Workspace`] scratch
 //! arena through the lowering so repeated forward/backward passes (NTK

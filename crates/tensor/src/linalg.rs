@@ -7,7 +7,10 @@
 //! matrix-multiply primitives behind the im2col convolution path and the
 //! linear layers. They are cache-blocked (panels of `B` and unrolled rank-4
 //! updates) so the inner loops autovectorise and the `C` traffic is
-//! amortised; no external BLAS is involved.
+//! amortised; no external BLAS is involved. The register-tiled schedule of
+//! [`gemm_nn`] reads its `B` operand through a crate-private column-operand
+//! trait, so the conv forward runs it straight from a zero-padded image
+//! (an implicit im2col matrix) with the same arithmetic.
 //!
 //! # Eigensolver
 //!
@@ -47,12 +50,12 @@ const GEMM_DEEP_K: usize = 64;
 /// `C = A · B` (or `C += A · B` with `accumulate`), all row-major:
 /// `A` is `[m, k]`, `B` is `[k, n]`, `C` is `[m, n]`.
 ///
-/// Dispatches between two schedules on the output width `n`:
+/// Dispatches between two schedules on the output width `n` and depth `k`:
 ///
-/// * **narrow** (`n ≤ 32`, e.g. the transposed weight-gradient GEMMs):
-///   register-tiled 4×8 accumulator tiles with `k` innermost — the tile's
-///   partial sums live in vector registers across the whole `k` sweep and
-///   the inner loop is four packed FMAs per step;
+/// * **row band** (`n ≤ 32` or `k ≥ 64`, e.g. the transposed
+///   weight-gradient GEMMs and the paper's conv3×3): register-tiled 4×16,
+///   4×8 and 4×1 accumulator tiles with `k` innermost — the tile's partial
+///   sums live in vector registers across the whole `k` sweep;
 /// * **wide** (spatially-wide feature maps): cache-blocked streaming rank-4
 ///   C-row updates, which amortise the C traffic over long contiguous rows.
 ///
@@ -89,18 +92,83 @@ pub(crate) fn gemm_nn_uncounted(
     if !accumulate {
         c.fill(0.0);
     }
-    if n <= GEMM_NARROW_N || k >= GEMM_DEEP_K {
-        let mut ib = 0;
-        while ib + 4 <= m {
-            gemm_nn_row_band::<4>(ib, k, n, a, b, c);
-            ib += 4;
-        }
-        while ib < m {
-            gemm_nn_row_band::<1>(ib, k, n, a, b, c);
-            ib += 1;
-        }
+    if uses_row_band(k, n) {
+        gemm_nn_row_bands(m, k, n, a, &DenseColumns { b, n }, c);
     } else {
         gemm_nn_wide(m, k, n, a, b, c);
+    }
+}
+
+/// [`gemm_nn_uncounted`] (`C = A · B`, no accumulate) for a product that
+/// takes the register-tiled schedule ([`uses_row_band`]), with `B` given
+/// as any [`ColumnOperand`]. Timed under the `tensor.gemm` span.
+pub(crate) fn gemm_nn_implicit(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &impl ColumnOperand,
+    c: &mut [f32],
+) {
+    let _span = micronas_telemetry::span!("tensor.gemm");
+    debug_assert!(uses_row_band(k, n));
+    assert_eq!(a.len(), m * k, "gemm: A buffer has wrong length");
+    assert_eq!(c.len(), m * n, "gemm: C buffer has wrong length");
+    c.fill(0.0);
+    gemm_nn_row_bands(m, k, n, a, b, c);
+}
+
+/// Whether [`gemm_nn`] runs the register-tiled `row_band` schedule for a
+/// `k`-deep product of width `n` (otherwise the streaming `wide` one).
+pub(crate) fn uses_row_band(k: usize, n: usize) -> bool {
+    n <= GEMM_NARROW_N || k >= GEMM_DEEP_K
+}
+
+/// The `[k, n]` right-hand operand `B` of the register-tiled schedule, read
+/// one `L`-wide column tile at a time. An explicit row-major matrix is one
+/// form; the conv forward's zero-padded image, read as its own im2col
+/// matrix, is the other.
+pub(crate) trait ColumnOperand {
+    /// Calls `f(p, B[p, j..j + L])` for every row `p` of `B`, in ascending
+    /// order.
+    fn for_each_tile_row<const L: usize>(&self, j: usize, f: impl FnMut(usize, &[f32; L]));
+}
+
+/// An explicit row-major `[k, n]` matrix.
+struct DenseColumns<'a> {
+    b: &'a [f32],
+    n: usize,
+}
+
+impl ColumnOperand for DenseColumns<'_> {
+    #[inline(always)]
+    fn for_each_tile_row<const L: usize>(&self, j: usize, mut f: impl FnMut(usize, &[f32; L])) {
+        for (p, row) in self.b.chunks_exact(self.n).enumerate() {
+            f(p, row[j..j + L].try_into().expect("tile inside the row"));
+        }
+    }
+}
+
+/// The register-tiled schedule of [`gemm_nn`] over any [`ColumnOperand`]:
+/// `C += A · B` in 4-row bands, then 1-row bands for the remainder. `A` is
+/// `[m, k]`, `C` is `[m, n]`. The result depends only on the values of `B`,
+/// never on how the operand stores them.
+fn gemm_nn_row_bands(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &impl ColumnOperand,
+    c: &mut [f32],
+) {
+    let mut ib = 0;
+    while ib + 4 <= m {
+        gemm_nn_row_band::<4>(ib, k, n, a, b, c);
+        ib += 4;
+    }
+    while ib < m {
+        gemm_nn_row_band::<1>(ib, k, n, a, b, c);
+        ib += 1;
     }
 }
 
@@ -141,14 +209,15 @@ fn gemm_nn_wide(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
     }
 }
 
-/// One `R`-row band of the register-tiled [`gemm_nn`]: accumulates
-/// `C[ib..ib+R, :] += A[ib..ib+R, :] · B`.
+/// One `R`-row band of the register-tiled schedule: accumulates
+/// `C[ib..ib+R, :] += A[ib..ib+R, :] · B` in 16-wide column tiles, then
+/// 8-wide ones, then single columns.
 fn gemm_nn_row_band<const R: usize>(
     ib: usize,
     k: usize,
     n: usize,
     a: &[f32],
-    b: &[f32],
+    b: &impl ColumnOperand,
     c: &mut [f32],
 ) {
     let mut jb = 0;
@@ -157,61 +226,46 @@ fn gemm_nn_row_band<const R: usize>(
     // output element accumulates over `k` in the same order regardless of
     // which tile it lands in.
     while jb + 16 <= n {
-        let mut acc = [[0.0f32; 16]; R];
-        for p in 0..k {
-            let bv: &[f32; 16] = b[p * n + jb..p * n + jb + 16]
-                .try_into()
-                .expect("slice length 16");
-            for r in 0..R {
-                let av = a[(ib + r) * k + p];
-                for l in 0..16 {
-                    acc[r][l] += av * bv[l];
-                }
-            }
-        }
-        for r in 0..R {
-            let c_row = &mut c[(ib + r) * n + jb..(ib + r) * n + jb + 16];
-            for l in 0..16 {
-                c_row[l] += acc[r][l];
-            }
-        }
+        row_band_tile::<R, 16>(ib, jb, k, n, a, b, c);
         jb += 16;
     }
     while jb + 8 <= n {
-        // R×8 accumulator tile held in registers across the full k sweep.
-        let mut acc = [[0.0f32; 8]; R];
-        for p in 0..k {
-            let bv: &[f32; 8] = b[p * n + jb..p * n + jb + 8]
-                .try_into()
-                .expect("slice length 8");
-            for r in 0..R {
-                let av = a[(ib + r) * k + p];
-                for l in 0..8 {
-                    acc[r][l] += av * bv[l];
-                }
-            }
-        }
-        for r in 0..R {
-            let c_row = &mut c[(ib + r) * n + jb..(ib + r) * n + jb + 8];
-            for l in 0..8 {
-                c_row[l] += acc[r][l];
-            }
-        }
+        row_band_tile::<R, 8>(ib, jb, k, n, a, b, c);
         jb += 8;
     }
-    if jb < n {
-        // Remainder columns (< 8): scalar accumulators per column.
-        for j in jb..n {
-            let mut acc = [0.0f32; R];
-            for p in 0..k {
-                let bv = b[p * n + j];
-                for (r, slot) in acc.iter_mut().enumerate() {
-                    *slot += a[(ib + r) * k + p] * bv;
-                }
+    // Remainder columns (< 8): scalar accumulators per column.
+    while jb < n {
+        row_band_tile::<R, 1>(ib, jb, k, n, a, b, c);
+        jb += 1;
+    }
+}
+
+/// One R×L tile of [`gemm_nn_row_band`]: the accumulators stay in registers
+/// across the whole `k` sweep, each summing its products in ascending `p`,
+/// and are then added into `C[ib..ib+R, jb..jb+L]`.
+#[inline(always)]
+fn row_band_tile<const R: usize, const L: usize>(
+    ib: usize,
+    jb: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &impl ColumnOperand,
+    c: &mut [f32],
+) {
+    let mut acc = [[0.0f32; L]; R];
+    b.for_each_tile_row::<L>(jb, |p, bv| {
+        for r in 0..R {
+            let av = a[(ib + r) * k + p];
+            for l in 0..L {
+                acc[r][l] += av * bv[l];
             }
-            for (r, &v) in acc.iter().enumerate() {
-                c[(ib + r) * n + j] += v;
-            }
+        }
+    });
+    for r in 0..R {
+        let c_row = &mut c[(ib + r) * n + jb..(ib + r) * n + jb + L];
+        for l in 0..L {
+            c_row[l] += acc[r][l];
         }
     }
 }

@@ -30,6 +30,7 @@ pub fn avg_pool2d_pooled(
     padding: usize,
     workspace: &mut Workspace,
 ) -> Result<Tensor> {
+    let _span = micronas_telemetry::span!("tensor.pool");
     if kernel == 0 || stride == 0 {
         return Err(TensorError::InvalidArgument(
             "kernel and stride must be positive".into(),

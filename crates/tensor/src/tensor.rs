@@ -218,6 +218,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::IncompatibleShapes`] if the shapes differ.
     pub fn axpy(&mut self, alpha: f32, rhs: &Tensor) -> Result<()> {
+        let _span = micronas_telemetry::span!("tensor.axpy");
         if self.shape != rhs.shape {
             return Err(TensorError::IncompatibleShapes {
                 op: "axpy",

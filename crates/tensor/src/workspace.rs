@@ -79,8 +79,8 @@ pub struct Workspace {
 }
 
 /// Upper bound on the number of buffers kept in the recycling pool. Sized
-/// for the batched backward pass's working set: a forward trace (input,
-/// stem output, four nodes per cell) plus the node gradients and per-edge
+/// for the batched backward pass's working set: a forward trace (stem
+/// output, four nodes per cell) plus the node gradients and per-edge
 /// temporaries of one cell; anything beyond this is returned to the
 /// allocator.
 const MAX_POOLED: usize = 24;

@@ -3,8 +3,11 @@
 //! conv3×3.
 //!
 //! The kernel must count one logical GEMM dispatch (for a bucket of one
-//! input too) and exactly one im2col lowering per image, and its staging must stay at one image's column
-//! matrix however large the bucket (a whole-bucket panel is 18 MiB here).
+//! input too) and exactly one image's column matrix per image, read in
+//! place from a zero-padded copy of the image, never lowered; its staging
+//! must stay at one image's column matrix however large the bucket (a
+//! whole-bucket panel is 18 MiB here). A stride-2 conv still lowers each
+//! image with im2col.
 //! This file holds one test, so the process-global telemetry sink sees no
 //! other test's work.
 
@@ -48,7 +51,12 @@ fn packed_forward_stages_one_image_of_the_paper_ntk_bucket() {
     assert_eq!(
         report.counter("tensor.im2col.bytes"),
         (pack * n * image_col_bytes) as u64,
-        "each image lowered exactly once"
+        "each image's column matrix multiplied exactly once"
+    );
+    assert_eq!(
+        report.counter("tensor.im2col.lowered_bytes"),
+        0,
+        "the paper bucket multiplies padded images in place"
     );
 
     // The outputs belong to the caller and the pool is empty, so the
@@ -80,5 +88,20 @@ fn packed_forward_stages_one_image_of_the_paper_ntk_bucket() {
     assert_eq!(
         out[0], outs[0],
         "a bucket of one is bitwise the full bucket's member"
+    );
+
+    // A strided conv takes no implicit operand: each image is lowered.
+    let down = Conv2dSpec::new(k, 2, 1);
+    let strided = Arc::new(Collector::new());
+    {
+        let _scope = install_scoped(strided.clone());
+        conv2d_forward_packed_pooled(&refs[..2], &weight, down, &mut ws).expect("packed conv");
+    }
+    let (oh, ow) = down.output_hw(hw, hw);
+    let lowered = (2 * n * c * k * k * oh * ow * 4) as u64;
+    assert_eq!(strided.report().counter("tensor.im2col.bytes"), lowered);
+    assert_eq!(
+        strided.report().counter("tensor.im2col.lowered_bytes"),
+        lowered
     );
 }

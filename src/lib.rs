@@ -120,7 +120,8 @@
 //!   computed once, and per-edge convolutions are bucketed by kernel
 //!   geometry into one packed dispatch per layer
 //!   ([`tensor::KernelBackend::conv2d_forward_packed`]) that runs each
-//!   distinct input image by image on the solo im2col + GEMM path;
+//!   distinct input image by image on the solo GEMM path (the paper's
+//!   conv3×3 multiplies each zero-padded image in place, no im2col);
 //! * the per-sample gradient sweep runs the same lockstep *backward*:
 //!   per (cell, edge, kernel-size) buckets dispatch through
 //!   [`tensor::KernelBackend::conv2d_backward_weight_per_sample_packed`],

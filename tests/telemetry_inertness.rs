@@ -19,6 +19,7 @@ use micronas_suite::core::{
 };
 use micronas_suite::telemetry::{Collector, CountingSink, NullSink, TelemetrySink};
 use rayon::ThreadPoolBuilder;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// `SweepReport::identity_fingerprint` of `run_paper_sweep(tiny_test,
@@ -117,6 +118,74 @@ fn counting_sink_proves_probes_fire_while_results_stay_pinned() {
         sink.counters() > 0,
         "no counter probes fired during a full sweep"
     );
+}
+
+/// A sink that counts every hook call it receives, whether or not it asks
+/// to be enabled.
+#[derive(Default)]
+struct HookCounter {
+    enabled: bool,
+    calls: AtomicU64,
+}
+
+impl TelemetrySink for HookCounter {
+    fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
+    fn record_span(&self, _label: &'static str, _nanos: u64) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn add_counter(&self, _name: &'static str, _delta: u64) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn gauge_max(&self, _name: &'static str, _value: u64) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Counter-based inertness: a paper-default NTK and linear-region
+/// evaluation of the all-conv3×3 cell under a disabled sink makes no hook
+/// call at all, so every probe on the hot path (spans, counters, gauges)
+/// stays behind the one-load disabled check. The same evaluation under
+/// the enabled variant of the sink does reach the hooks, so the zero is
+/// not vacuous, and both give the same bits.
+#[test]
+fn disabled_sink_receives_no_hook_call_from_a_paper_default_evaluation() {
+    use micronas_suite::datasets::DatasetKind;
+    use micronas_suite::proxies::{
+        LinearRegionConfig, LinearRegionEvaluator, NtkConfig, NtkEvaluator,
+    };
+    use micronas_suite::searchspace::{CellTopology, Operation};
+
+    let _guard = lock_telemetry();
+    let cell = CellTopology::new([Operation::NorConv3x3; 6]);
+    let ntk = NtkEvaluator::new(NtkConfig::paper_default());
+    let lr = LinearRegionEvaluator::new(LinearRegionConfig::paper_default());
+    let run = |enabled: bool| {
+        let sink = Arc::new(HookCounter {
+            enabled,
+            ..HookCounter::default()
+        });
+        let scope = micronas_suite::telemetry::install_scoped(sink.clone());
+        let condition = ntk
+            .evaluate(cell, DatasetKind::Cifar10, 0)
+            .unwrap()
+            .condition_number;
+        let regions = lr.evaluate(cell, DatasetKind::Cifar10, 0).unwrap().regions;
+        drop(scope);
+        (
+            (condition.to_bits(), regions),
+            sink.calls.load(Ordering::Relaxed),
+        )
+    };
+    let (disabled, disabled_calls) = run(false);
+    let (enabled, enabled_calls) = run(true);
+    assert_eq!(disabled_calls, 0, "a probe reached a disabled sink");
+    assert!(enabled_calls > 0, "no probe fired under an enabled sink");
+    assert_eq!(disabled, enabled, "telemetry perturbed the evaluation");
 }
 
 #[test]

@@ -20,8 +20,13 @@ use std::sync::Arc;
 // GEMM ceiling was re-captured (808 → 289) when every conv kernel began to
 // count one call per kernel call instead of one per image.
 
-/// Bytes lowered by im2col over the whole search.
+/// Bytes of the column matrices multiplied over the whole search, lowered
+/// or read in place from a zero-padded image.
 const IM2COL_BYTES_CEILING: u64 = 3_732_480;
+/// Bytes materialized by im2col. The tiny config's convs take the
+/// streaming GEMM schedule, which still lowers every column matrix, so this
+/// equals the bytes multiplied.
+const IM2COL_LOWERED_BYTES_CEILING: u64 = 3_732_480;
 /// Logical GEMM dispatches: one per GEMM-path conv kernel call, plus the
 /// plain GEMMs (classifier, Gram).
 const GEMM_CALLS_CEILING: u64 = 289;
@@ -31,12 +36,16 @@ const COMPUTED_CANDIDATES_CEILING: u64 = 31;
 const PACK_DISPATCHES_CEILING: u64 = 4;
 
 /// The counters the gate reads, from one traced search.
-fn work(report: &TelemetryReport) -> [(&'static str, u64); 5] {
+fn work(report: &TelemetryReport) -> [(&'static str, u64); 6] {
     // A candidate's NTK runs either solo (one `proxy.ntk` span) or as a
     // member of a packed sweep.
     let solo = report.span("proxy.ntk").map_or(0, |s| s.count);
     [
         ("tensor.im2col.bytes", report.counter("tensor.im2col.bytes")),
+        (
+            "tensor.im2col.lowered_bytes",
+            report.counter("tensor.im2col.lowered_bytes"),
+        ),
         ("tensor.gemm.calls", report.counter("tensor.gemm.calls")),
         (
             "computed candidates",
@@ -80,11 +89,17 @@ fn tiny_search_work_is_thread_count_independent_and_under_its_ceilings() {
     let (work_1, work_4) = (work(&report_1), work(&report_4));
     assert_eq!(work_1, work_4, "work counters moved with the thread count");
 
-    let [(_, im2col), (_, gemm), (_, computed), (_, dispatches), (_, shared)] = work_1;
-    assert!(im2col > 0 && gemm > 0 && computed > 0 && dispatches > 0);
+    let [(_, im2col), (_, lowered), (_, gemm), (_, computed), (_, dispatches), (_, shared)] =
+        work_1;
+    assert!(im2col > 0 && lowered > 0 && gemm > 0 && computed > 0 && dispatches > 0);
     assert!(shared > 0, "no conv input was shared across a pack");
     for (name, value, ceiling) in [
         ("tensor.im2col.bytes", im2col, IM2COL_BYTES_CEILING),
+        (
+            "tensor.im2col.lowered_bytes",
+            lowered,
+            IM2COL_LOWERED_BYTES_CEILING,
+        ),
         ("tensor.gemm.calls", gemm, GEMM_CALLS_CEILING),
         ("computed candidates", computed, COMPUTED_CANDIDATES_CEILING),
         (
