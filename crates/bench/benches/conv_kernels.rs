@@ -1,15 +1,14 @@
-//! Convolution kernel micro-benchmarks: direct loops vs im2col + GEMM.
+//! Convolution kernel micro-benchmarks: the `direct` backend's loops vs the
+//! paper-default `blocked_gemm` backend.
 //!
 //! Measures the forward pass and both gradients on the geometries the proxy
 //! networks actually run (3×3 stride-1 and 1×1 cell convolutions at the
-//! paper-default 16×16 resolution), with each engine pinned explicitly.
+//! paper-default 16×16 resolution). Every case is far above the direct-kernel
+//! threshold, so `blocked_gemm` runs its GEMM path on all of them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use micronas_bench::banner;
-use micronas_tensor::{
-    conv2d_backward_input_with, conv2d_backward_weight_with, conv2d_with, set_conv_engine,
-    Conv2dSpec, ConvEngine, DeterministicRng, Shape, Tensor, Workspace,
-};
+use micronas_tensor::{Conv2dSpec, DeterministicRng, KernelBackendKind, Shape, Tensor, Workspace};
 
 fn random_tensor(shape: Shape, seed: u64) -> Tensor {
     let mut rng = DeterministicRng::new(seed);
@@ -63,7 +62,7 @@ const CASES: &[Case] = &[
 
 fn bench_conv_kernels(c: &mut Criterion) {
     banner(
-        "conv kernels: direct vs im2col+GEMM",
+        "conv kernels: direct vs blocked_gemm backend",
         "proxy-evaluation hot path (NTK forward/backward)",
     );
     let mut group = c.benchmark_group("conv_kernels");
@@ -85,18 +84,13 @@ fn bench_conv_kernels(c: &mut Criterion) {
         let (oh, ow) = case.spec.output_hw(case.resolution, case.resolution);
         let grad_out = random_tensor(Shape::nchw(case.batch, case.channels, oh, ow), 3);
         let mut ws = Workspace::default();
-        for (engine, engine_name) in [
-            (ConvEngine::Direct, "direct"),
-            (ConvEngine::Im2colGemm, "im2col_gemm"),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(case.name, engine_name),
-                &engine,
-                |b, &engine| {
-                    set_conv_engine(engine);
-                    b.iter(|| {
-                        let fwd = conv2d_with(&input, &weight, case.spec, &mut ws).unwrap();
-                        let gw = conv2d_backward_weight_with(
+        for kind in [KernelBackendKind::Direct, KernelBackendKind::BlockedGemm] {
+            let backend = kind.instantiate();
+            group.bench_with_input(BenchmarkId::new(case.name, kind.id()), &kind, |b, _| {
+                b.iter(|| {
+                    let fwd = backend.conv2d(&input, &weight, case.spec, &mut ws).unwrap();
+                    let gw = backend
+                        .conv2d_backward_weight(
                             &input,
                             &grad_out,
                             case.channels,
@@ -104,7 +98,8 @@ fn bench_conv_kernels(c: &mut Criterion) {
                             &mut ws,
                         )
                         .unwrap();
-                        let gi = conv2d_backward_input_with(
+                    let gi = backend
+                        .conv2d_backward_input(
                             &weight,
                             &grad_out,
                             input.shape(),
@@ -112,11 +107,12 @@ fn bench_conv_kernels(c: &mut Criterion) {
                             &mut ws,
                         )
                         .unwrap();
-                        (fwd.sum(), gw.sum(), gi.sum())
-                    });
-                    set_conv_engine(ConvEngine::Auto);
-                },
-            );
+                    let sums = (fwd.sum(), gw.sum(), gi.sum());
+                    ws.recycle(fwd.into_vec());
+                    ws.recycle(gi.into_vec());
+                    sums
+                });
+            });
         }
     }
     group.finish();

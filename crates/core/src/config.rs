@@ -245,14 +245,6 @@ impl MicroNasConfig {
                 "NTK batch size must be at least 2".into(),
             ));
         }
-        if !self.backend.supports_gradients() {
-            return Err(MicroNasError::InvalidConfig(format!(
-                "execution backend {:?} is inference-only: the NTK proxy needs gradient \
-                 kernels. Use it for deployment checks (e.g. \
-                 LinearRegionEvaluator::with_backend) instead of driving a search",
-                self.backend.id()
-            )));
-        }
         if self.ntk.batch_size > MAX_NTK_BATCH {
             return Err(MicroNasError::InvalidConfig(format!(
                 "NTK batch size {} exceeds the supported maximum {MAX_NTK_BATCH} \
@@ -456,17 +448,6 @@ mod tests {
             .push("10.0.0.3:7000".into());
         cfg.fabric.as_mut().unwrap().timeout_ms = 5;
         assert_eq!(cfg.store_namespace(), standalone_ns);
-    }
-
-    #[test]
-    fn inference_only_backends_cannot_drive_a_search() {
-        let cfg = MicroNasConfig::fast().with_backend(KernelBackendKind::Int8Mcu);
-        let err = cfg.validate().unwrap_err();
-        assert!(err.to_string().contains("inference-only"), "{err}");
-        assert!(MicroNasConfig::fast()
-            .with_backend(KernelBackendKind::Simd)
-            .validate()
-            .is_ok());
     }
 
     #[test]

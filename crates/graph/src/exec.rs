@@ -377,22 +377,6 @@ impl Executor {
                 backend.gram_nt_f64(n, p, j.data(), &mut out);
                 slots[out0.index()] = Slot::F64(out);
             }
-            OpKind::Quantize { scale } => {
-                let x = slots[ins[0].index()].tensor()?;
-                let mut buf = ws.take(x.numel());
-                for (dst, &v) in buf.iter_mut().zip(x.data()) {
-                    *dst = (v / scale).round().clamp(-127.0, 127.0);
-                }
-                slots[out0.index()] = Slot::Owned(Tensor::from_vec(out_shape, buf)?);
-            }
-            OpKind::Dequantize { scale } => {
-                let x = slots[ins[0].index()].tensor()?;
-                let mut buf = ws.take(x.numel());
-                for (dst, &v) in buf.iter_mut().zip(x.data()) {
-                    *dst = v * scale;
-                }
-                slots[out0.index()] = Slot::Owned(Tensor::from_vec(out_shape, buf)?);
-            }
             OpKind::FusedConvRelu { spec } => {
                 let pre = slots[ins[0].index()].tensor()?;
                 let w = slots[ins[1].index()].tensor()?;
@@ -503,24 +487,6 @@ mod tests {
             .map(|&v| if v > 0.0 { v } else { 0.0 })
             .collect();
         assert_eq!(out.tensor("y").unwrap().data(), &expect[..]);
-    }
-
-    #[test]
-    fn quantize_dequantize_round_trips_on_grid_values() {
-        let mut g = Graph::new();
-        let x = g.input("x", Shape::d1(4));
-        let q = g.quantize(x, 0.5);
-        let d = g.dequantize(q, 0.5);
-        g.mark_output("q", q);
-        g.mark_output("d", d);
-        let tx = Tensor::from_vec(Shape::d1(4), vec![1.0, -0.5, 63.5, -200.0]).unwrap();
-        let out = run_graph(g, &[&tx]);
-        assert_eq!(out.tensor("q").unwrap().data(), &[2.0, -1.0, 127.0, -127.0]);
-        assert_eq!(
-            out.tensor("d").unwrap().data(),
-            &[1.0, -0.5, 63.5, -63.5],
-            "dequantize saturates at the clamp edge"
-        );
     }
 
     #[test]

@@ -174,17 +174,6 @@ pub enum OpKind {
         /// Columns (parameters).
         p: usize,
     },
-    /// `[x] -> clamp(round(x / scale), ±127)`: symmetric int8 quantization
-    /// kept in `f32` storage, matching the int8 MCU backend's convention.
-    Quantize {
-        /// Quantization scale (`max_abs / 127` in the int8 backend).
-        scale: f32,
-    },
-    /// `[q] -> q * scale`: inverse of [`OpKind::Quantize`].
-    Dequantize {
-        /// Quantization scale.
-        scale: f32,
-    },
     /// `[pre, w] -> conv(relu(pre), w)`: forward conv with the ReLU fused
     /// into the im2col gather, always on the GEMM schedule. Produced only
     /// by the fusing compiler.
@@ -255,8 +244,6 @@ impl OpKind {
             OpKind::GemmNt { .. } => "gemm_nt",
             OpKind::GemmTn { .. } => "gemm_tn",
             OpKind::GramNtF64 { .. } => "gram_nt_f64",
-            OpKind::Quantize { .. } => "quantize",
-            OpKind::Dequantize { .. } => "dequantize",
             OpKind::FusedConvRelu { .. } => "fused_conv_relu",
             OpKind::FusedConvBackward { .. } => "fused_conv_bwd",
         }
@@ -323,9 +310,6 @@ impl OpKind {
                 vec![m as u64, k as u64, n as u64]
             }
             OpKind::GramNtF64 { n, p } => vec![n as u64, p as u64],
-            OpKind::Quantize { scale } | OpKind::Dequantize { scale } => {
-                vec![scale.to_bits() as u64]
-            }
         }
     }
 }
@@ -634,18 +618,6 @@ impl Graph {
             outputs: vec![out],
         });
         out
-    }
-
-    /// Symmetric int8 quantization kept in `f32` storage.
-    pub fn quantize(&mut self, x: ValueId, scale: f32) -> ValueId {
-        let shape = self.value_shape(x).clone();
-        self.push(OpKind::Quantize { scale }, vec![x], shape)
-    }
-
-    /// Inverse of [`Graph::quantize`].
-    pub fn dequantize(&mut self, q: ValueId, scale: f32) -> ValueId {
-        let shape = self.value_shape(q).clone();
-        self.push(OpKind::Dequantize { scale }, vec![q], shape)
     }
 
     /// Forward conv with fused ReLU epilogue (fusing-compiler op).

@@ -2,8 +2,8 @@
 //!
 //! This crate expresses a cell network's forward and backward passes as a
 //! small static [`Graph`] of tensor ops — convolutions (forward, backward
-//! weight/input, per-sample gradients), GEMMs, the NTK Gram, pooling, ReLU,
-//! quantize/dequantize — with explicit SSA value nodes, and compiles that
+//! weight/input, per-sample gradients), GEMMs, the NTK Gram, pooling and
+//! ReLU — with explicit SSA value nodes, and compiles that
 //! graph to an executable plan behind the [`Compiler`] trait
 //! (`compile(&Graph) -> Runnable`).
 //!

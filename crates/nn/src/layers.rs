@@ -1,10 +1,7 @@
 //! Parameterised layers with explicit forward and backward passes.
 
 use crate::Result;
-use micronas_tensor::{
-    conv2d_backward_input_with, conv2d_backward_weight_with, conv2d_with, gemm_nn, gemm_nt,
-    gemm_tn, Conv2dSpec, InitKind, KernelBackend, Shape, Tensor, Workspace,
-};
+use micronas_tensor::{Conv2dSpec, InitKind, KernelBackend, Shape, Tensor, Workspace};
 use serde::{Deserialize, Serialize};
 
 /// A bias-free 2-D convolution layer.
@@ -64,48 +61,13 @@ impl ConvLayer {
         self.weight.shape().dims()[0]
     }
 
-    /// Forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor-shape errors from the convolution kernel.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.forward_with(input, &mut Workspace::default())
-    }
-
-    /// Forward pass reusing an explicit scratch [`Workspace`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor-shape errors from the convolution kernel.
-    pub fn forward_with(&self, input: &Tensor, workspace: &mut Workspace) -> Result<Tensor> {
-        Ok(conv2d_with(input, &self.weight, self.spec, workspace)?)
-    }
-
-    /// Forward pass drawing the output tensor from the workspace recycling
-    /// pool (see [`micronas_tensor::conv2d_pooled`]); numerically identical
-    /// to [`ConvLayer::forward_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor-shape errors from the convolution kernel.
-    pub fn forward_pooled(&self, input: &Tensor, workspace: &mut Workspace) -> Result<Tensor> {
-        Ok(micronas_tensor::conv2d_pooled(
-            input,
-            &self.weight,
-            self.spec,
-            workspace,
-        )?)
-    }
-
-    /// Forward pass dispatched through an execution backend. With the
-    /// paper-default backend this is bitwise-identical to
-    /// [`ConvLayer::forward_pooled`].
+    /// Forward pass on an execution backend. The output tensor may come
+    /// from the workspace recycling pool (see [`KernelBackend::conv2d`]).
     ///
     /// # Errors
     ///
     /// Propagates tensor-shape errors from the backend kernel.
-    pub fn forward_on(
+    pub fn forward(
         &self,
         backend: &dyn KernelBackend,
         input: &Tensor,
@@ -114,15 +76,13 @@ impl ConvLayer {
         Ok(backend.conv2d(input, &self.weight, self.spec, workspace)?)
     }
 
-    /// Backward pass dispatched through an execution backend: returns
-    /// `(grad_weight, grad_input)`. With the paper-default backend the
-    /// values are bitwise-identical to [`ConvLayer::backward_with`].
+    /// Backward pass on an execution backend: returns
+    /// `(grad_weight, grad_input)` for the upstream gradient `grad_out`.
     ///
     /// # Errors
     ///
-    /// Propagates tensor-shape errors, and the backend's gradients-
-    /// unsupported error for inference-only backends.
-    pub fn backward_on(
+    /// Propagates tensor-shape errors from the backend kernels.
+    pub fn backward(
         &self,
         backend: &dyn KernelBackend,
         input: &Tensor,
@@ -137,44 +97,6 @@ impl ConvLayer {
             workspace,
         )?;
         let grad_in = backend.conv2d_backward_input(
-            &self.weight,
-            grad_out,
-            input.shape(),
-            self.spec,
-            workspace,
-        )?;
-        Ok((grad_w, grad_in))
-    }
-
-    /// Backward pass: returns `(grad_weight, grad_input)` for the upstream
-    /// gradient `grad_out`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor-shape errors from the convolution kernels.
-    pub fn backward(&self, input: &Tensor, grad_out: &Tensor) -> Result<(Tensor, Tensor)> {
-        self.backward_with(input, grad_out, &mut Workspace::default())
-    }
-
-    /// Backward pass reusing an explicit scratch [`Workspace`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor-shape errors from the convolution kernels.
-    pub fn backward_with(
-        &self,
-        input: &Tensor,
-        grad_out: &Tensor,
-        workspace: &mut Workspace,
-    ) -> Result<(Tensor, Tensor)> {
-        let grad_w = conv2d_backward_weight_with(
-            input,
-            grad_out,
-            self.out_channels(),
-            self.spec,
-            workspace,
-        )?;
-        let grad_in = conv2d_backward_input_with(
             &self.weight,
             grad_out,
             input.shape(),
@@ -220,37 +142,15 @@ impl LinearLayer {
         self.weight.numel()
     }
 
-    /// Forward pass: `output = input · weightᵀ`.
+    /// Forward pass on an execution backend: `output = input · weightᵀ`.
     ///
     /// Runs as a single transpose-free `A · Bᵀ` GEMM (the weight is stored
-    /// `[out, in]`, exactly the layout [`gemm_nt`] wants).
+    /// `[out, in]`, exactly the layout [`KernelBackend::gemm_nt`] wants).
     ///
     /// # Errors
     ///
     /// Propagates tensor-shape errors.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        let (batch, in_features) = self.check_input(input)?;
-        let out_features = self.weight.shape().dims()[0];
-        let mut out = Tensor::zeros(Shape::d2(batch, out_features));
-        gemm_nt(
-            batch,
-            in_features,
-            out_features,
-            input.data(),
-            self.weight.data(),
-            out.data_mut(),
-            false,
-        );
-        Ok(out)
-    }
-
-    /// [`LinearLayer::forward`] dispatched through an execution backend
-    /// (bitwise-identical under the paper default).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor-shape errors.
-    pub fn forward_on(&self, backend: &dyn KernelBackend, input: &Tensor) -> Result<Tensor> {
+    pub fn forward(&self, backend: &dyn KernelBackend, input: &Tensor) -> Result<Tensor> {
         let (batch, in_features) = self.check_input(input)?;
         let out_features = self.weight.shape().dims()[0];
         let mut out = Tensor::zeros(Shape::d2(batch, out_features));
@@ -266,13 +166,13 @@ impl LinearLayer {
         Ok(out)
     }
 
-    /// [`LinearLayer::backward`] dispatched through an execution backend
-    /// (bitwise-identical under the paper default).
+    /// Backward pass on an execution backend: returns
+    /// `(grad_weight, grad_input)`.
     ///
     /// # Errors
     ///
     /// Propagates tensor-shape errors.
-    pub fn backward_on(
+    pub fn backward(
         &self,
         backend: &dyn KernelBackend,
         input: &Tensor,
@@ -290,6 +190,7 @@ impl LinearLayer {
                 },
             ));
         }
+        // grad_w [out, in] = grad_outᵀ [out, N] · input [N, in]
         let mut grad_w = Tensor::zeros(self.weight.shape().clone());
         backend.gemm_tn(
             out_features,
@@ -300,51 +201,9 @@ impl LinearLayer {
             grad_w.data_mut(),
             false,
         );
-        let mut grad_in = Tensor::zeros(Shape::d2(batch, in_features));
-        backend.gemm_nn(
-            batch,
-            out_features,
-            in_features,
-            grad_out.data(),
-            self.weight.data(),
-            grad_in.data_mut(),
-            false,
-        );
-        Ok((grad_w, grad_in))
-    }
-
-    /// Backward pass: returns `(grad_weight, grad_input)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor-shape errors.
-    pub fn backward(&self, input: &Tensor, grad_out: &Tensor) -> Result<(Tensor, Tensor)> {
-        let (batch, in_features) = self.check_input(input)?;
-        let out_features = self.weight.shape().dims()[0];
-        let gd = grad_out.shape().dims();
-        if gd.len() != 2 || gd[0] != batch || gd[1] != out_features {
-            return Err(crate::NnError::from(
-                micronas_tensor::TensorError::IncompatibleShapes {
-                    op: "linear backward",
-                    lhs: gd.to_vec(),
-                    rhs: vec![batch, out_features],
-                },
-            ));
-        }
-        // grad_w [out, in] = grad_outᵀ [out, N] · input [N, in]
-        let mut grad_w = Tensor::zeros(self.weight.shape().clone());
-        gemm_tn(
-            out_features,
-            batch,
-            in_features,
-            grad_out.data(),
-            input.data(),
-            grad_w.data_mut(),
-            false,
-        );
         // grad_in [N, in] = grad_out [N, out] · weight [out, in]
         let mut grad_in = Tensor::zeros(Shape::d2(batch, in_features));
-        gemm_nn(
+        backend.gemm_nn(
             batch,
             out_features,
             in_features,
@@ -375,7 +234,9 @@ impl LinearLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use micronas_tensor::DeterministicRng;
+    use micronas_tensor::{BlockedGemmBackend, DeterministicRng};
+
+    const BACKEND: BlockedGemmBackend = BlockedGemmBackend;
 
     fn random_tensor(shape: Shape, seed: u64) -> Tensor {
         let mut rng = DeterministicRng::new(seed);
@@ -389,7 +250,9 @@ mod tests {
         assert_eq!(layer.num_parameters(), 8 * 3 * 3 * 3);
         assert_eq!(layer.out_channels(), 8);
         let input = random_tensor(Shape::nchw(2, 3, 8, 8), 2);
-        let out = layer.forward(&input).unwrap();
+        let out = layer
+            .forward(&BACKEND, &input, &mut Workspace::default())
+            .unwrap();
         assert_eq!(out.shape().dims(), &[2, 8, 8, 8]);
     }
 
@@ -397,9 +260,12 @@ mod tests {
     fn conv_layer_backward_shapes() {
         let layer = ConvLayer::new(4, 6, 3, 1, 1, InitKind::KaimingNormal, 3);
         let input = random_tensor(Shape::nchw(1, 4, 5, 5), 4);
-        let out = layer.forward(&input).unwrap();
+        let mut ws = Workspace::default();
+        let out = layer.forward(&BACKEND, &input, &mut ws).unwrap();
         let grad_out = Tensor::ones(out.shape().clone());
-        let (gw, gi) = layer.backward(&input, &grad_out).unwrap();
+        let (gw, gi) = layer
+            .backward(&BACKEND, &input, &grad_out, &mut ws)
+            .unwrap();
         assert_eq!(gw.shape(), layer.weight().shape());
         assert_eq!(gi.shape(), input.shape());
     }
@@ -410,7 +276,7 @@ mod tests {
         // Overwrite weights with known values: [[1, 2], [3, 4]]
         layer.weight = Tensor::from_vec(Shape::d2(2, 2), vec![1., 2., 3., 4.]).unwrap();
         let input = Tensor::from_vec(Shape::d2(1, 2), vec![5., 6.]).unwrap();
-        let out = layer.forward(&input).unwrap();
+        let out = layer.forward(&BACKEND, &input).unwrap();
         assert_eq!(out.data(), &[17., 39.]);
     }
 
@@ -418,9 +284,9 @@ mod tests {
     fn linear_backward_finite_difference() {
         let layer = LinearLayer::new(6, 4, InitKind::XavierUniform, 7);
         let input = random_tensor(Shape::d2(3, 6), 8);
-        let out = layer.forward(&input).unwrap();
+        let out = layer.forward(&BACKEND, &input).unwrap();
         let grad_out = Tensor::ones(out.shape().clone());
-        let (gw, gi) = layer.backward(&input, &grad_out).unwrap();
+        let (gw, gi) = layer.backward(&BACKEND, &input, &grad_out).unwrap();
         assert_eq!(gw.shape().dims(), &[4, 6]);
         assert_eq!(gi.shape().dims(), &[3, 6]);
 
@@ -430,9 +296,9 @@ mod tests {
         for &idx in &[0usize, 5, 13, 23] {
             let orig = perturbed.weight.data()[idx];
             perturbed.weight.data_mut()[idx] = orig + eps;
-            let plus = perturbed.forward(&input).unwrap().sum();
+            let plus = perturbed.forward(&BACKEND, &input).unwrap().sum();
             perturbed.weight.data_mut()[idx] = orig - eps;
-            let minus = perturbed.forward(&input).unwrap().sum();
+            let minus = perturbed.forward(&BACKEND, &input).unwrap().sum();
             perturbed.weight.data_mut()[idx] = orig;
             let numeric = (plus - minus) / (2.0 * eps);
             assert!((numeric - gw.data()[idx]).abs() < 1e-2 * (1.0 + numeric.abs()));

@@ -8,7 +8,7 @@ use crate::{
 use micronas_graph::Compiler;
 use micronas_searchspace::{CellTopology, EdgeId, Operation, NUM_EDGES, NUM_NODES};
 use micronas_tensor::{
-    avg_pool2d, global_avg_pool, global_avg_pool_backward, hash_mix,
+    global_avg_pool, global_avg_pool_backward, hash_mix,
     ops::{relu, relu_backward},
     paper_default_backend, KernelBackend, PackedGradSlot, Shape, Tensor, Workspace,
 };
@@ -426,16 +426,17 @@ impl CellNetwork {
         Ok(out)
     }
 
-    /// The reference forward trace: plain per-tensor allocation, no buffer
-    /// recycling. Byte-for-byte the trace the engine ran before the batched
-    /// rework; produces values identical to [`CellNetwork::forward_trace`].
+    /// The reference forward trace: no value numbering and no buffer
+    /// recycling, one kernel call per edge on the network's backend.
+    /// Produces values identical to [`CellNetwork::forward_trace`].
     fn forward_trace_reference(
         &self,
         input: &Tensor,
         workspace: &mut Workspace,
     ) -> Result<ForwardTrace> {
         self.check_input(input)?;
-        let stem_out = self.stem.forward_with(input, workspace)?;
+        let backend = &*self.backend;
+        let stem_out = self.stem.forward(backend, input, workspace)?;
         let mut nodes_per_cell = Vec::with_capacity(self.cells.len());
         let mut x = stem_out.clone();
         for cell in &self.cells {
@@ -452,13 +453,15 @@ impl CellNetwork {
                     let contribution = match op {
                         Operation::None => None,
                         Operation::SkipConnect => Some(nodes[src].clone()),
-                        Operation::AvgPool3x3 => Some(avg_pool2d(&nodes[src], 3, 1, 1)?),
+                        Operation::AvgPool3x3 => {
+                            Some(backend.avg_pool2d(&nodes[src], 3, 1, 1, workspace)?)
+                        }
                         Operation::NorConv1x1 | Operation::NorConv3x3 => {
                             let conv = cell.edge_convs[edge.0]
                                 .as_ref()
                                 .expect("conv edge always has a layer");
                             let activated = relu(&nodes[src]);
-                            Some(conv.forward_with(&activated, workspace)?)
+                            Some(conv.forward(backend, &activated, workspace)?)
                         }
                     };
                     if let Some(c) = contribution {
@@ -510,7 +513,7 @@ impl CellNetwork {
         // Classifier.
         let (grad_cls_w, grad_features) =
             self.classifier
-                .backward_on(backend, &trace.features, grad_logits)?;
+                .backward(backend, &trace.features, grad_logits)?;
         // Global average pooling.
         let last_x = trace
             .nodes
@@ -559,7 +562,7 @@ impl CellNetwork {
                             .expect("conv edge always has a layer");
                         let activated = relu(&nodes[src]);
                         let (gw, g_act) =
-                            conv.backward_on(backend, &activated, &upstream, workspace)?;
+                            conv.backward(backend, &activated, &upstream, workspace)?;
                         weight_grads[edge.0] = Some(gw);
                         let g_src = relu_backward(&nodes[src], &g_act);
                         node_grads[src].axpy(1.0, &g_src).map_err(NnError::from)?;
@@ -572,7 +575,7 @@ impl CellNetwork {
         cell_weight_grads.reverse();
 
         // Stem.
-        let (grad_stem_w, _) = self.stem.backward_on(backend, input, &grad_x, workspace)?;
+        let (grad_stem_w, _) = self.stem.backward(backend, input, &grad_x, workspace)?;
 
         // Flatten in canonical parameter order.
         let mut flat = Vec::with_capacity(self.num_parameters());
@@ -800,7 +803,7 @@ fn forward_members(
     // seed, same stream) and see the identical input.
     let stem_out = {
         let _span = micronas_telemetry::span!("nn.stem_forward");
-        first.stem.forward_on(backend, input, workspace)?
+        first.stem.forward(backend, input, workspace)?
     };
     let node_shape = stem_out.shape().clone();
     let mut collected: Vec<Collected> = networks
@@ -960,7 +963,7 @@ fn forward_members(
                     unreachable!("the tensor sink collects tensors");
                 };
                 let features = global_avg_pool(values[last].node())?;
-                let logits = net.classifier.forward_on(backend, &features)?;
+                let logits = net.classifier.forward(backend, &features)?;
                 out.push(MemberForward::Output(ForwardOutput {
                     logits,
                     pre_activations,
@@ -1715,11 +1718,32 @@ const STEM_SEED_STREAM: u64 = 0x57E4_C0DE;
 mod tests {
     use super::*;
     use micronas_searchspace::SearchSpace;
-    use micronas_tensor::DeterministicRng;
+    use micronas_tensor::{DeterministicRng, KernelBackendKind};
 
-    /// Serialises the tests that pin or depend on the process-global conv
-    /// engine, so a concurrent pin cannot flip the engine mid-comparison.
-    static ENGINE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// A tiny geometry on which every conv is at or above the direct-kernel
+    /// threshold at batch 1 (8 channels at 8×8: 4 096 MACs for a conv1×1,
+    /// 36 864 for a conv3×3, 13 824 for the stem), so `blocked_gemm` takes
+    /// its GEMM path at every batch size.
+    fn all_gemm_config(num_classes: usize) -> ProxyNetworkConfig {
+        ProxyNetworkConfig {
+            channels: 8,
+            ..ProxyNetworkConfig::tiny(num_classes)
+        }
+    }
+
+    /// The backend arms of the bitwise suites: the `direct` oracle on
+    /// `config`, and `blocked_gemm` on [`all_gemm_config`].
+    fn backend_arms(
+        config: &ProxyNetworkConfig,
+    ) -> [(Arc<dyn KernelBackend>, ProxyNetworkConfig); 2] {
+        [
+            (KernelBackendKind::Direct.instantiate(), *config),
+            (
+                KernelBackendKind::BlockedGemm.instantiate(),
+                all_gemm_config(config.num_classes),
+            ),
+        ]
+    }
 
     fn random_batch(config: &ProxyNetworkConfig, n: usize, seed: u64) -> Tensor {
         let mut rng = DeterministicRng::new(seed);
@@ -1746,7 +1770,6 @@ mod tests {
 
     #[test]
     fn graph_interpreter_matches_eager_bitwise() {
-        let _guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let cell = conv_chain_cell();
         let config = ProxyNetworkConfig::tiny(10);
         let net = CellNetwork::new(&cell, &config, 42).unwrap();
@@ -1775,7 +1798,6 @@ mod tests {
 
     #[test]
     fn graph_fusing_matches_eager_within_tolerance() {
-        let _guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let cell = conv_chain_cell();
         let config = ProxyNetworkConfig::tiny(10);
         let net = CellNetwork::new(&cell, &config, 42).unwrap();
@@ -1854,7 +1876,6 @@ mod tests {
 
     #[test]
     fn network_construction_is_deterministic() {
-        let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let cell = conv_chain_cell();
         let config = ProxyNetworkConfig::tiny(10);
         let a = CellNetwork::new(&cell, &config, 7).unwrap();
@@ -1921,13 +1942,13 @@ mod tests {
     }
 
     /// Batched and looped per-sample gradients must agree per sample across
-    /// random cells, batch sizes and both pinned convolution engines. Under
-    /// a pinned engine the two formulations execute identical per-sample
-    /// kernels, so the comparison is exact.
+    /// random cells and batch sizes, on both conv engines: the direct loops
+    /// (the `direct` backend) and GEMM (`blocked_gemm` on a geometry where
+    /// every conv takes the GEMM path). Both formulations run the network's
+    /// own backend with identical per-sample kernels, so the comparison is
+    /// exact.
     #[test]
     fn batched_per_sample_gradients_match_looped_on_both_engines() {
-        use micronas_tensor::{set_conv_engine, ConvEngine};
-        let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let space = SearchSpace::nas_bench_201();
         // A spread of cells: conv-heavy, pool/skip-mixed, sparse.
         let cells = [
@@ -1936,11 +1957,10 @@ mod tests {
             space.cell(11_111).unwrap(),
             space.cell(404).unwrap(),
         ];
-        let config = ProxyNetworkConfig::tiny(4);
-        for engine in [ConvEngine::Direct, ConvEngine::Im2colGemm] {
-            set_conv_engine(engine);
+        for (backend, config) in backend_arms(&ProxyNetworkConfig::tiny(4)) {
             for (c_idx, cell) in cells.iter().enumerate() {
-                let net = CellNetwork::new(cell, &config, c_idx as u64 + 1).unwrap();
+                let seed = c_idx as u64 + 1;
+                let net = CellNetwork::with_backend(cell, &config, seed, backend.clone()).unwrap();
                 for n in [1usize, 2, 7] {
                     let batch = random_batch(&config, n, 19 + n as u64);
                     let mut ws = Workspace::default();
@@ -1956,32 +1976,30 @@ mod tests {
                         assert_eq!(
                             fast.row(b),
                             slow.values(),
-                            "engine {engine:?} cell {c_idx} n={n} sample {b}"
+                            "backend {} cell {c_idx} n={n} sample {b}",
+                            backend.id()
                         );
                     }
                 }
             }
         }
-        set_conv_engine(ConvEngine::Auto);
     }
 
     proptest::proptest! {
         /// Property form of the batched-vs-looped equivalence: random cells
         /// from the full NAS-Bench-201 space, the batch sizes the edge cases
-        /// live at (1, 2, 7), both pinned convolution engines. The random
-        /// cell runs solo (a pack of one) and packed with two other random
-        /// cells; every member's rows must equal its own looped oracle.
+        /// live at (1, 2, 7), both backend arms. The random cell runs solo
+        /// (a pack of one) and packed with two other random cells; every
+        /// member's rows must equal its own looped oracle.
         #[test]
         fn batched_per_sample_gradients_match_looped_across_random_cells(
             cell_index in 0usize..15_625,
             other_a in 0usize..15_625,
             other_b in 0usize..15_625,
             batch_choice in 0usize..3,
-            engine_choice in 0usize..2,
+            backend_choice in 0usize..2,
             seed in 0u64..1_000,
         ) {
-            use micronas_tensor::{set_conv_engine, ConvEngine};
-            let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
             let space = SearchSpace::nas_bench_201();
             let cells: Vec<CellTopology> = [cell_index, other_a, other_b]
                 .iter()
@@ -1989,15 +2007,12 @@ mod tests {
                 .collect();
             let mut config = ProxyNetworkConfig::tiny(3);
             config.input_resolution = 6;
+            let [direct, gemm] = backend_arms(&config);
+            let (backend, config) = if backend_choice == 0 { direct } else { gemm };
             let n = [1usize, 2, 7][batch_choice];
-            let pack = CellNetworkPack::new(&cells, &config, seed).unwrap();
+            let pack = CellNetworkPack::with_backend(&cells, &config, seed, backend).unwrap();
             let batch = random_batch(&config, n, seed + 1);
             let mut ws = Workspace::default();
-            set_conv_engine(if engine_choice == 0 {
-                ConvEngine::Direct
-            } else {
-                ConvEngine::Im2colGemm
-            });
             let solo = pack.networks()[0].per_sample_gradient_matrix_with(&batch, &mut ws);
             let packed = pack.per_sample_gradient_matrices_with(&batch, &mut ws);
             let looped: Result<Vec<_>> = pack
@@ -2005,7 +2020,6 @@ mod tests {
                 .iter()
                 .map(|net| net.per_sample_gradients_looped_with(&batch, &mut ws))
                 .collect();
-            set_conv_engine(ConvEngine::Auto);
             let (solo, packed, looped) = (solo.unwrap(), packed.unwrap(), looped.unwrap());
             for (b, slow) in looped[0].iter().enumerate() {
                 proptest::prop_assert_eq!(solo.row(b), slow.values(), "solo sample {}", b);
@@ -2113,36 +2127,37 @@ mod tests {
 
     /// The tentpole identity at the network layer: the packed forward must
     /// be bitwise identical to each member's solo forward, at every pack
-    /// width and under both pinned convolution engines (covering the
-    /// merged-GEMM path and the direct oracle).
+    /// width, on the paper default and on both backend arms (covering the
+    /// all-GEMM path and the direct oracle).
     #[test]
     fn packed_forward_is_bitwise_identical_to_solo_members() {
-        use micronas_tensor::{set_conv_engine, ConvEngine};
-        let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let cells = pack_test_cells();
-        let config = ProxyNetworkConfig::tiny(10);
-        let batch = random_batch(&config, 2, 31);
-        for engine in [ConvEngine::Auto, ConvEngine::Direct, ConvEngine::Im2colGemm] {
-            set_conv_engine(engine);
+        let tiny = ProxyNetworkConfig::tiny(10);
+        let default_arm = (paper_default_backend(), tiny);
+        for (backend, config) in std::iter::once(default_arm).chain(backend_arms(&tiny)) {
+            let batch = random_batch(&config, 2, 31);
+            let id = backend.id().to_string();
             for width in [1usize, 2, cells.len()] {
                 let members = &cells[..width];
-                let pack = CellNetworkPack::new(members, &config, 9).unwrap();
+                let pack =
+                    CellNetworkPack::with_backend(members, &config, 9, backend.clone()).unwrap();
                 let mut pack_ws = Workspace::default();
                 let packed = pack.forward_with(&batch, &mut pack_ws).unwrap();
                 assert_eq!(packed.len(), width);
                 for (i, cell) in members.iter().enumerate() {
-                    let solo_net = CellNetwork::new(cell, &config, 9).unwrap();
+                    let solo_net =
+                        CellNetwork::with_backend(cell, &config, 9, backend.clone()).unwrap();
                     let mut solo_ws = Workspace::default();
                     let solo = solo_net.forward_with(&batch, &mut solo_ws).unwrap();
                     assert_eq!(
                         packed[i].logits.data(),
                         solo.logits.data(),
-                        "engine {engine:?} width {width} member {i}: logits diverge"
+                        "backend {id} width {width} member {i}: logits diverge"
                     );
                     assert_eq!(
                         packed[i].pre_activations.len(),
                         solo.pre_activations.len(),
-                        "engine {engine:?} width {width} member {i}"
+                        "backend {id} width {width} member {i}"
                     );
                     for (a, b) in packed[i].pre_activations.iter().zip(&solo.pre_activations) {
                         assert_eq!(a.data(), b.data());
@@ -2150,7 +2165,6 @@ mod tests {
                 }
             }
         }
-        set_conv_engine(ConvEngine::Auto);
     }
 
     /// A pruning-style slate: each representative, every single-edge
@@ -2194,7 +2208,6 @@ mod tests {
     /// unshared inputs) and 108-bit edge tensors (unaligned sign offsets).
     #[test]
     fn pruning_slate_packs_are_bitwise_identical_to_solo_members() {
-        let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let slate = pruning_slate();
         let config = ProxyNetworkConfig {
             input_resolution: 6,
@@ -2244,15 +2257,12 @@ mod tests {
 
     /// Per-sample gradient matrices from the pack (packed forward, solo
     /// backward on pack traces) must be bitwise identical to each member's
-    /// solo batched formulation.
+    /// solo batched formulation, on the paper default and on `blocked_gemm`
+    /// where every conv takes the GEMM path.
     #[test]
     fn packed_gradient_matrices_are_bitwise_identical_to_solo_members() {
-        use micronas_tensor::{set_conv_engine, ConvEngine};
-        let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let cells = pack_test_cells();
-        let config = ProxyNetworkConfig::tiny(4);
-        for engine in [ConvEngine::Auto, ConvEngine::Im2colGemm] {
-            set_conv_engine(engine);
+        for config in [ProxyNetworkConfig::tiny(4), all_gemm_config(4)] {
             for n in [1usize, 3] {
                 let batch = random_batch(&config, n, 47 + n as u64);
                 let pack = CellNetworkPack::new(&cells, &config, 5).unwrap();
@@ -2273,13 +2283,13 @@ mod tests {
                         assert_eq!(
                             matrices[i].row(b),
                             solo.row(b),
-                            "engine {engine:?} n={n} member {i} sample {b}: gradients diverge"
+                            "channels {} n={n} member {i} sample {b}: gradients diverge",
+                            config.channels
                         );
                     }
                 }
             }
         }
-        set_conv_engine(ConvEngine::Auto);
     }
 
     /// One packed gradient sweep bumps the global fill counters, and the
@@ -2288,7 +2298,6 @@ mod tests {
     /// least as high as the forward sweep.
     #[test]
     fn pack_fill_counters_track_backward_dispatches() {
-        let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let cells = pack_test_cells();
         let config = ProxyNetworkConfig::tiny(4);
         let batch = random_batch(&config, 2, 7);

@@ -68,7 +68,7 @@ pub use linear_regions::{LinearRegionConfig, LinearRegionEvaluator, LinearRegion
 pub use metric::{metric_ids, MetricSet};
 pub use ntk::{NtkConfig, NtkEvaluator, NtkReport};
 pub use proxy::{fingerprint_network, fold_backend, LinearRegionProxy, NtkProxy, Proxy};
-pub use scratch::{with_thread_workspace, with_thread_workspace_capped};
+pub use scratch::with_thread_workspace;
 pub use synflow::{SynFlowConfig, SynFlowProxy};
 pub use zero_cost::{ZeroCostEvaluator, ZeroCostMetrics};
 

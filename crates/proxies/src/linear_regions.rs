@@ -120,10 +120,7 @@ impl LinearRegionEvaluator {
         }
     }
 
-    /// Returns a copy running on an explicit execution backend. The probe is
-    /// forward-only, so inference-only backends (int8) work here — that is
-    /// the deployment-accuracy scenario: how much expressivity survives the
-    /// device's 8-bit arithmetic.
+    /// Returns a copy running on an explicit execution backend.
     pub fn with_backend(mut self, backend: Arc<dyn KernelBackend>) -> Self {
         self.backend = backend;
         self
@@ -166,11 +163,8 @@ impl LinearRegionEvaluator {
         seed: u64,
     ) -> Result<LinearRegionReport> {
         // The shared per-thread scratch arena serves every probe segment and
-        // stays hot across candidates, under the backend's retention policy.
-        crate::scratch::with_thread_workspace_capped(
-            self.backend.arena_retention_cap_bytes(),
-            |workspace| self.evaluate_in(cell, dataset, seed, workspace),
-        )
+        // stays hot across candidates.
+        crate::with_thread_workspace(|workspace| self.evaluate_in(cell, dataset, seed, workspace))
     }
 
     /// [`LinearRegionEvaluator::evaluate`] threading an explicit scratch

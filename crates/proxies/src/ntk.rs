@@ -145,10 +145,7 @@ impl NtkEvaluator {
         }
     }
 
-    /// Returns a copy running on an explicit execution backend. The backend
-    /// must implement gradient kernels
-    /// ([`KernelBackend::supports_gradients`]); inference-only backends make
-    /// every evaluation fail.
+    /// Returns a copy running on an explicit execution backend.
     pub fn with_backend(mut self, backend: Arc<dyn KernelBackend>) -> Self {
         self.backend = backend;
         self
@@ -195,11 +192,8 @@ impl NtkEvaluator {
         // The thread-local arena keeps batch-level buffers hot across
         // candidates (fresh per-call allocation of batch-32 tensors costs
         // mmap round-trips) and shrinks back to the evaluation's watermark
-        // on the way out, under the backend's retention policy.
-        crate::scratch::with_thread_workspace_capped(
-            self.backend.arena_retention_cap_bytes(),
-            |workspace| self.evaluate_in(cell, dataset, seed, workspace),
-        )
+        // on the way out.
+        crate::with_thread_workspace(|workspace| self.evaluate_in(cell, dataset, seed, workspace))
     }
 
     /// [`NtkEvaluator::evaluate`] threading an explicit scratch arena

@@ -198,9 +198,8 @@ impl LinearRegionProxy {
         }
     }
 
-    /// Wraps a fully configured evaluator — in particular one pinned to the
-    /// int8 MCU backend via [`LinearRegionEvaluator::with_backend`], which
-    /// probes the expressivity that survives 8-bit deployment arithmetic.
+    /// Wraps a fully configured evaluator, e.g. one running on an explicit
+    /// execution backend via [`LinearRegionEvaluator::with_backend`].
     pub fn from_evaluator(evaluator: LinearRegionEvaluator) -> Self {
         Self { evaluator }
     }

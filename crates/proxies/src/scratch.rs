@@ -25,11 +25,7 @@ thread_local! {
 /// request is about 2.3 MiB; the packed conv forward stages one image's
 /// columns at a time); only a far-out-of-band probe geometry trips this,
 /// so ordinary candidate streams never re-allocate between evaluations.
-/// Equals
-/// [`micronas_tensor::DEFAULT_ARENA_RETENTION_CAP`]; backends with a
-/// different working set override it through
-/// [`micronas_tensor::KernelBackend::arena_retention_cap_bytes`] (the
-/// evaluators thread that policy via [`with_thread_workspace_capped`]).
+/// Equals [`micronas_tensor::DEFAULT_ARENA_RETENTION_CAP`].
 const MAX_ARENA_BYTES: usize = micronas_tensor::DEFAULT_ARENA_RETENTION_CAP;
 
 /// Runs `f` with this thread's proxy workspace, releasing the arena
@@ -44,23 +40,10 @@ const MAX_ARENA_BYTES: usize = micronas_tensor::DEFAULT_ARENA_RETENTION_CAP;
 ///
 /// Panics if called re-entrantly from inside `f` (the evaluators never nest).
 pub fn with_thread_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
-    with_thread_workspace_capped(MAX_ARENA_BYTES, f)
-}
-
-/// [`with_thread_workspace`] with an explicit retention cap — the
-/// execution-backend workspace policy
-/// ([`micronas_tensor::KernelBackend::arena_retention_cap_bytes`]). The
-/// arena is shared per thread regardless of the cap; the cap only decides
-/// when it is released on the way out.
-///
-/// # Panics
-///
-/// Panics if called re-entrantly from inside `f` (the evaluators never nest).
-pub fn with_thread_workspace_capped<R>(cap_bytes: usize, f: impl FnOnce(&mut Workspace) -> R) -> R {
     PROXY_WORKSPACE.with(|cell| {
         let mut ws = cell.borrow_mut();
         let out = f(&mut ws);
-        ws.reset_if_larger_than(cap_bytes);
+        ws.reset_if_larger_than(MAX_ARENA_BYTES);
         out
     })
 }

@@ -61,8 +61,7 @@ impl ZeroCostEvaluator {
     }
 
     /// Creates an evaluator running both indicators on an explicit execution
-    /// backend ([`micronas_tensor::KernelBackend`]). The NTK half needs
-    /// gradient kernels, so inference-only backends fail at evaluation time.
+    /// backend ([`micronas_tensor::KernelBackend`]).
     pub fn with_backend(
         ntk: NtkConfig,
         lr: LinearRegionConfig,
@@ -147,25 +146,22 @@ impl ZeroCostEvaluator {
         dataset: DatasetKind,
         seed: u64,
     ) -> Result<Vec<ZeroCostMetrics>> {
-        crate::scratch::with_thread_workspace_capped(
-            self.ntk.backend().arena_retention_cap_bytes(),
-            |workspace| {
-                let ntk = self.ntk.evaluate_pack_in(cells, dataset, seed, workspace)?;
-                let lr = self
-                    .linear_regions
-                    .evaluate_pack_in(cells, dataset, seed, workspace)?;
-                Ok(ntk
-                    .into_iter()
-                    .zip(lr)
-                    .map(|(n, l)| ZeroCostMetrics {
-                        ntk_condition: n.condition_number,
-                        linear_regions: l.regions,
-                        trainability: n.trainability_score(),
-                        expressivity: l.expressivity_score(),
-                    })
-                    .collect())
-            },
-        )
+        crate::with_thread_workspace(|workspace| {
+            let ntk = self.ntk.evaluate_pack_in(cells, dataset, seed, workspace)?;
+            let lr = self
+                .linear_regions
+                .evaluate_pack_in(cells, dataset, seed, workspace)?;
+            Ok(ntk
+                .into_iter()
+                .zip(lr)
+                .map(|(n, l)| ZeroCostMetrics {
+                    ntk_condition: n.condition_number,
+                    linear_regions: l.regions,
+                    trainability: n.trainability_score(),
+                    expressivity: l.expressivity_score(),
+                })
+                .collect())
+        })
     }
 }
 

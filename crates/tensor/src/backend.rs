@@ -3,41 +3,39 @@
 //! Every numerical kernel the network substrate runs — convolution forward
 //! and backward, per-sample weight gradients, average pooling, the GEMM
 //! primitives behind linear layers and the NTK Gram build — is dispatched
-//! through an object-safe [`KernelBackend`] trait instead of the old
-//! two-variant [`crate::ConvEngine`] enum. A backend carries a **stable
+//! through the object-safe [`KernelBackend`] trait, the only public way to
+//! run a conv or pool kernel. A backend carries a **stable
 //! string id** and a **configuration fingerprint** (mirroring the `Proxy`
 //! trait one layer up), so execution policy has a persistent identity that
 //! evaluation stores can fold into their keys: results produced by a backend
 //! that is not bitwise-identical to the paper default must never alias
 //! results produced by it.
 //!
-//! Four backends ship:
+//! Three backends ship:
 //!
 //! * [`DirectBackend`] (`"direct"`) — the naive-loop reference kernels, kept
 //!   as the portable correctness oracle the conformance suite compares every
 //!   other backend against.
 //! * [`BlockedGemmBackend`] (`"blocked_gemm"`) — the paper-default engine:
-//!   the im2col + cache-blocked GEMM path with the small-shape direct
-//!   dispatch, exactly the code the dispatching free functions
-//!   ([`crate::conv2d_with`] and friends) run. This is the only backend whose
-//!   results are **bitwise-identical** to the paper pipeline
-//!   ([`KernelBackend::bitwise_paper_identical`]).
+//!   the im2col + cache-blocked GEMM path (implicit GEMM on the paper's
+//!   conv3×3) with the shape-only small-problem direct dispatch. This is the
+//!   only backend whose results are **bitwise-identical** to the paper
+//!   pipeline ([`KernelBackend::bitwise_paper_identical`]).
 //! * `SimdBackend` (`"simd"`, [`crate::SimdBackend`]) — hand-tiled AVX2+FMA
 //!   micro-kernels plus fixed-size per-sample batch chunking on the rayon
 //!   pool; bitwise-deterministic at any thread count, but *not* bitwise-equal
 //!   to the paper default (FMA contracts the multiply-add rounding).
-//! * `Int8Backend` (`"int8_mcu"`, [`crate::Int8Backend`]) — int8 fixed-point
-//!   inference consistent with the `micronas-mcu` cycle model; forward-only.
 //!
 //! [`all_backends`] is the registry the conformance suite iterates, and
 //! [`paper_default_backend`] is the shared instance every network uses when
 //! no backend is supplied explicitly.
 
 use crate::conv::{
-    check_backward_weight_args, conv2d_backward_input_pooled,
+    check_backward_input_args, check_backward_weight_args, check_conv_args, check_per_sample_args,
+    conv2d_backward_input_pooled, conv2d_backward_input_unchecked,
     conv2d_backward_weight_per_sample_into, conv2d_backward_weight_per_sample_packed_into,
-    conv2d_backward_weight_unchecked, conv2d_backward_weight_with, conv2d_direct, conv2d_pooled,
-    direct_weight_grad_sample, PackedGradSlot,
+    conv2d_backward_weight_unchecked, conv2d_backward_weight_with, conv2d_direct_unchecked,
+    conv2d_forward_packed_pooled, conv2d_pooled, direct_weight_grad_sample, PackedGradSlot,
 };
 use crate::pool::{avg_pool2d_backward_pooled, avg_pool2d_pooled};
 use crate::rng::hash_mix;
@@ -45,8 +43,8 @@ use crate::{Conv2dSpec, Result, Shape, Tensor, TensorError, Workspace};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
-/// Default retention cap (bytes) for shared per-thread scratch arenas; see
-/// [`KernelBackend::arena_retention_cap_bytes`].
+/// Retention cap (bytes) for shared per-thread scratch arenas: an arena
+/// whose footprint exceeds it is released after an evaluation.
 pub const DEFAULT_ARENA_RETENTION_CAP: usize = 64 << 20;
 
 /// An execution backend: the complete kernel set the network substrate runs
@@ -56,13 +54,8 @@ pub const DEFAULT_ARENA_RETENTION_CAP: usize = 64 << 20;
 ///
 /// * **Purity** — every method is a pure function of its tensor arguments
 ///   (plus the backend's own configuration). The [`Workspace`] is scratch
-///   only; it never carries numerical state between calls. One documented
-///   exception: the paper-default [`BlockedGemmBackend`] *is* the legacy
-///   dispatching pipeline, pin included — it honours a process-wide
-///   [`crate::set_conv_engine`] override exactly as the pre-backend code
-///   did (the equivalence tests and benches rely on that). Production code
-///   must leave the pin at `Auto`; see [`crate::set_conv_engine`] for the
-///   store-interaction hazard. Every other backend ignores the pin.
+///   only; it never carries numerical state between calls, and no
+///   process-global setting changes which kernel a call runs.
 /// * **Determinism** — two calls with identical inputs return
 ///   bitwise-identical outputs, on any thread and at any rayon thread count.
 /// * **Identity** — `(id, config_fingerprint)` is the backend's persistent
@@ -90,21 +83,6 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
     /// share the paper pipeline's store namespace.
     fn bitwise_paper_identical(&self) -> bool {
         false
-    }
-
-    /// Whether the gradient kernels (`conv2d_backward_*`) are implemented.
-    /// Inference-only backends (int8) return `false` and error cleanly from
-    /// the gradient entry points.
-    fn supports_gradients(&self) -> bool {
-        true
-    }
-
-    /// Workspace policy: the scratch-arena footprint above which shared
-    /// per-thread arenas release their buffers after an evaluation
-    /// ([`DEFAULT_ARENA_RETENTION_CAP`] unless the backend's working set
-    /// differs materially from the float pipeline's).
-    fn arena_retention_cap_bytes(&self) -> usize {
-        DEFAULT_ARENA_RETENTION_CAP
     }
 
     /// Forward 2-D convolution (`[N, C_in, H, W]` × `[C_out, C_in, K, K]`).
@@ -163,8 +141,7 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns an error for inconsistent shapes, or if the backend does not
-    /// support gradients.
+    /// Returns an error for inconsistent shapes.
     fn conv2d_backward_input(
         &self,
         weight: &Tensor,
@@ -179,8 +156,7 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns an error for inconsistent shapes, or if the backend does not
-    /// support gradients.
+    /// Returns an error for inconsistent shapes.
     fn conv2d_backward_weight(
         &self,
         input: &Tensor,
@@ -191,14 +167,13 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
     ) -> Result<Tensor>;
 
     /// Per-sample weight gradients written straight into a `[N, P]` matrix:
-    /// sample `b`'s flattened gradient lands at
-    /// `out[b * row_stride + offset ..]` (see
-    /// [`crate::conv2d_backward_weight_per_sample_into`]).
+    /// the flattened `[C_out, C_in, K, K]` gradient of batch element `b`
+    /// alone (not summed over the batch) lands at
+    /// `out[b * row_stride + offset ..]`.
     ///
     /// # Errors
     ///
-    /// Returns an error for inconsistent shapes or a too-short buffer, or if
-    /// the backend does not support gradients.
+    /// Returns an error for inconsistent shapes or a too-short buffer.
     #[allow(clippy::too_many_arguments)]
     fn conv2d_backward_weight_per_sample_into(
         &self,
@@ -228,7 +203,7 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
     /// # Errors
     ///
     /// Returns an error if slice lengths disagree, for inconsistent shapes
-    /// or a too-short buffer, or if the backend does not support gradients.
+    /// or a too-short buffer.
     fn conv2d_backward_weight_per_sample_packed(
         &self,
         inputs: &[&Tensor],
@@ -271,8 +246,7 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns an error for inconsistent shapes, or if the backend does not
-    /// support gradients.
+    /// Returns an error for inconsistent shapes.
     fn conv2d_backward_input_packed(
         &self,
         weight: &Tensor,
@@ -307,8 +281,7 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns an error for inconsistent shapes, or if the backend does not
-    /// support gradients.
+    /// Returns an error for inconsistent shapes.
     fn avg_pool2d_backward(
         &self,
         grad_out: &Tensor,
@@ -394,13 +367,6 @@ pub fn backend_fingerprint(id: &str, version: u64, params: &[u64]) -> u64 {
     h
 }
 
-/// The error every inference-only backend returns from gradient entry points.
-pub(crate) fn gradients_unsupported(id: &str) -> TensorError {
-    TensorError::InvalidArgument(format!(
-        "the {id:?} kernel backend is inference-only and does not implement gradient kernels"
-    ))
-}
-
 // ---------------------------------------------------------------------------
 // DirectBackend: the naive-loop oracle
 // ---------------------------------------------------------------------------
@@ -431,7 +397,11 @@ impl KernelBackend for DirectBackend {
         spec: Conv2dSpec,
         _workspace: &mut Workspace,
     ) -> Result<Tensor> {
-        conv2d_direct(input, weight, spec)
+        let (n, c_in, h, w, c_out, _) = check_conv_args(input, weight, spec)?;
+        let (oh, ow) = spec.output_hw(h, w);
+        let mut out = Tensor::zeros(Shape::nchw(n, c_out, oh, ow));
+        conv2d_direct_unchecked(input, weight, spec, n, c_in, h, w, c_out, oh, ow, &mut out);
+        Ok(out)
     }
 
     fn conv2d_backward_input(
@@ -442,7 +412,23 @@ impl KernelBackend for DirectBackend {
         spec: Conv2dSpec,
         _workspace: &mut Workspace,
     ) -> Result<Tensor> {
-        crate::conv::conv2d_backward_input_direct(weight, grad_out, input_shape, spec)
+        let (n, c_in, h, w, c_out, oh, ow) =
+            check_backward_input_args(weight, grad_out, input_shape, spec)?;
+        let mut grad_in = Tensor::zeros(input_shape.clone());
+        conv2d_backward_input_unchecked(
+            weight,
+            grad_out,
+            spec,
+            n,
+            c_in,
+            h,
+            w,
+            c_out,
+            oh,
+            ow,
+            &mut grad_in,
+        );
+        Ok(grad_in)
     }
 
     fn conv2d_backward_weight(
@@ -470,15 +456,9 @@ impl KernelBackend for DirectBackend {
         row_stride: usize,
         offset: usize,
     ) -> Result<()> {
-        let (n, c_in, h, w, oh, ow) = check_backward_weight_args(input, grad_out, c_out, spec)?;
+        let (n, c_in, h, w, oh, ow) =
+            check_per_sample_args(input, grad_out, c_out, spec, out.len(), row_stride, offset)?;
         let per_sample = c_out * c_in * spec.kernel * spec.kernel;
-        if n > 0 && out.len() < (n - 1) * row_stride + offset + per_sample {
-            return Err(TensorError::InvalidArgument(format!(
-                "per-sample gradient output buffer too short: {} < {}",
-                out.len(),
-                (n - 1) * row_stride + offset + per_sample
-            )));
-        }
         for b in 0..n {
             let dst = &mut out[b * row_stride + offset..b * row_stride + offset + per_sample];
             direct_weight_grad_sample(input, grad_out, b, c_out, c_in, h, w, oh, ow, spec, dst);
@@ -715,13 +695,11 @@ fn avg_pool2d_backward_direct(
 // BlockedGemmBackend: the paper default
 // ---------------------------------------------------------------------------
 
-/// The paper-default backend (`"blocked_gemm"`): im2col lowering into the
-/// cache-blocked GEMM kernels, with the [`crate::ConvEngine::Auto`]
-/// small-shape direct dispatch — byte-for-byte the code path the dispatching
-/// free functions ([`crate::conv2d_with`] and friends) run, and therefore
-/// bitwise-identical to the paper pipeline (and still subject to a
-/// process-wide [`crate::set_conv_engine`] pin, which benches and
-/// equivalence tests rely on).
+/// The paper-default backend (`"blocked_gemm"`): im2col lowering (or, for
+/// the paper's stride-1 conv3×3 forward, a zero-padded image read in place)
+/// into the cache-blocked GEMM kernels, with direct loops for problems below
+/// a small MAC threshold — a pure function of the shape. It *is* the paper
+/// pipeline, so it is bitwise-identical to it.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BlockedGemmBackend;
 
@@ -755,10 +733,9 @@ impl KernelBackend for BlockedGemmBackend {
         spec: Conv2dSpec,
         workspace: &mut Workspace,
     ) -> Result<Vec<Tensor>> {
-        // The packed free function runs every member on the solo GEMM
-        // path, so this override keeps the paper-default numerics at every
+        // The packed kernel runs every member on the solo GEMM path, so this override keeps the paper-default numerics at every
         // pack width.
-        crate::conv::conv2d_forward_packed_pooled(inputs, weight, spec, workspace)
+        conv2d_forward_packed_pooled(inputs, weight, spec, workspace)
     }
 
     fn conv2d_backward_input(
@@ -808,7 +785,7 @@ impl KernelBackend for BlockedGemmBackend {
         workspace: &mut Workspace,
         slots: &mut [PackedGradSlot<'_>],
     ) -> Result<()> {
-        // The packed free function iterates the exact solo per-candidate
+        // The packed kernel iterates the exact solo per-candidate
         // schedule (sharing only the im2col lowering of bitwise-equal
         // inputs), so this override keeps the paper-default numerics at
         // every pack width.
@@ -929,13 +906,11 @@ fn dispatch_counters(id: &str) -> &'static DispatchCounters {
     static DIRECT: DispatchCounters = dispatch_counters!("direct");
     static BLOCKED: DispatchCounters = dispatch_counters!("blocked_gemm");
     static SIMD: DispatchCounters = dispatch_counters!("simd");
-    static INT8: DispatchCounters = dispatch_counters!("int8_mcu");
     static OTHER: DispatchCounters = dispatch_counters!("other");
     match id {
         "direct" => &DIRECT,
         "blocked_gemm" => &BLOCKED,
         "simd" => &SIMD,
-        "int8_mcu" => &INT8,
         _ => &OTHER,
     }
 }
@@ -944,8 +919,7 @@ fn dispatch_counters(id: &str) -> &'static DispatchCounters {
 /// telemetry counter (`tensor.backend.<id>.*`) before forwarding.
 ///
 /// The wrapper is identity-transparent — `id`, `config_fingerprint`,
-/// `bitwise_paper_identical`, `supports_gradients` and the arena policy all
-/// forward unchanged, so store namespaces and conformance identities do not
+/// and `bitwise_paper_identical` forward unchanged, so store namespaces and conformance identities do not
 /// move — and inert: with no enabled sink installed each dispatch pays one
 /// relaxed atomic load. [`KernelBackendKind::instantiate`],
 /// [`paper_default_backend`] and therefore [`all_backends`] return
@@ -974,14 +948,6 @@ impl KernelBackend for InstrumentedBackend {
 
     fn bitwise_paper_identical(&self) -> bool {
         self.inner.bitwise_paper_identical()
-    }
-
-    fn supports_gradients(&self) -> bool {
-        self.inner.supports_gradients()
-    }
-
-    fn arena_retention_cap_bytes(&self) -> usize {
-        self.inner.arena_retention_cap_bytes()
     }
 
     fn conv2d(
@@ -1179,8 +1145,6 @@ pub enum KernelBackendKind {
     BlockedGemm,
     /// [`crate::SimdBackend`] — FMA-tiled, rayon-chunked CPU backend.
     Simd,
-    /// [`crate::Int8Backend`] — int8 fixed-point MCU reference backend.
-    Int8Mcu,
 }
 
 impl KernelBackendKind {
@@ -1190,17 +1154,15 @@ impl KernelBackendKind {
             KernelBackendKind::Direct => "direct",
             KernelBackendKind::BlockedGemm => "blocked_gemm",
             KernelBackendKind::Simd => "simd",
-            KernelBackendKind::Int8Mcu => "int8_mcu",
         }
     }
 
     /// All shipped kinds, in id order.
-    pub fn all() -> [KernelBackendKind; 4] {
+    pub fn all() -> [KernelBackendKind; 3] {
         [
             KernelBackendKind::Direct,
             KernelBackendKind::BlockedGemm,
             KernelBackendKind::Simd,
-            KernelBackendKind::Int8Mcu,
         ]
     }
 
@@ -1230,16 +1192,8 @@ impl KernelBackendKind {
         matches!(self, KernelBackendKind::BlockedGemm)
     }
 
-    /// Whether this kind implements gradient kernels.
-    pub fn supports_gradients(self) -> bool {
-        !matches!(self, KernelBackendKind::Int8Mcu)
-    }
-
-    /// Instantiates the backend. The stateless kinds return one cached
-    /// shared instance per process; `Int8Mcu` is deliberately fresh per
-    /// call, because each instance carries its own MAC counter
-    /// ([`crate::Int8Backend::macs_performed`]) and profiling sessions must
-    /// not share it.
+    /// Instantiates the backend: one cached shared instance per kind and
+    /// process (every shipped backend is stateless).
     pub fn instantiate(self) -> Arc<dyn KernelBackend> {
         static DIRECT: OnceLock<Arc<dyn KernelBackend>> = OnceLock::new();
         static SIMD: OnceLock<Arc<dyn KernelBackend>> = OnceLock::new();
@@ -1251,7 +1205,6 @@ impl KernelBackendKind {
             KernelBackendKind::Simd => SIMD
                 .get_or_init(|| instrument_backend(Arc::new(crate::SimdBackend)))
                 .clone(),
-            KernelBackendKind::Int8Mcu => instrument_backend(Arc::new(crate::Int8Backend::new())),
         }
     }
 }
@@ -1268,12 +1221,10 @@ pub fn paper_default_backend() -> Arc<dyn KernelBackend> {
 /// Every registered built-in backend, in a fixed order — the set the
 /// conformance suite runs against the direct oracle.
 pub fn all_backends() -> Vec<Arc<dyn KernelBackend>> {
-    vec![
-        KernelBackendKind::Direct.instantiate(),
-        KernelBackendKind::BlockedGemm.instantiate(),
-        KernelBackendKind::Simd.instantiate(),
-        KernelBackendKind::Int8Mcu.instantiate(),
-    ]
+    KernelBackendKind::all()
+        .into_iter()
+        .map(KernelBackendKind::instantiate)
+        .collect()
 }
 
 #[cfg(test)]
@@ -1282,12 +1233,7 @@ mod tests {
 
     #[test]
     fn kinds_roundtrip_through_ids() {
-        for kind in [
-            KernelBackendKind::Direct,
-            KernelBackendKind::BlockedGemm,
-            KernelBackendKind::Simd,
-            KernelBackendKind::Int8Mcu,
-        ] {
+        for kind in KernelBackendKind::all() {
             assert_eq!(KernelBackendKind::from_id(kind.id()), Some(kind));
             assert_eq!(kind.instantiate().id(), kind.id());
         }

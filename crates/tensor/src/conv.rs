@@ -7,15 +7,14 @@
 //!
 //! Two implementations exist for every kernel:
 //!
-//! * **Direct** loops ([`conv2d_direct`] and friends): simple quadruple
-//!   loops. They are the correctness oracle — the property tests check the
-//!   GEMM path against them — and the faster choice for very small problems
-//!   where lowering overhead dominates.
-//! * **GEMM** (the default): each image's column matrix
-//!   (`[C_in·K·K, OH·OW]`) is multiplied by the `[C_out, C_in·K·K]` weight
-//!   matrix with the cache-blocked GEMM kernels from [`crate::ops`]'s
-//!   sibling module `linalg`. The forward gets that column matrix one of
-//!   three ways:
+//! * **Direct** loops: simple quadruple loops, the bodies behind
+//!   [`crate::DirectBackend`]. They are the correctness oracle — the
+//!   property tests check the GEMM path against them — and the faster
+//!   choice for very small problems where lowering overhead dominates.
+//! * **GEMM**: each image's column matrix (`[C_in·K·K, OH·OW]`) is
+//!   multiplied by the `[C_out, C_in·K·K]` weight matrix with the
+//!   cache-blocked GEMM kernels from [`crate::ops`]'s sibling module
+//!   `linalg`. The forward gets that column matrix one of three ways:
 //!   - 1×1 / stride-1 / no-padding convolutions multiply the input in
 //!     place (their column matrix is the image);
 //!   - other stride-1 convolutions whose product takes the register-tiled
@@ -30,36 +29,32 @@
 //!
 //!   The backward kernels keep explicit column matrices (im2col, col2im).
 //!
-//! [`ConvEngine::Auto`] (the default) picks direct kernels below a small
-//! work threshold and GEMM above it. Benchmarks and tests can pin an engine
-//! process-wide with [`set_conv_engine`].
+//! The dispatching kernels here are the bodies of the paper-default
+//! [`crate::BlockedGemmBackend`]: they run the direct loops below
+//! [`DIRECT_MAC_THRESHOLD`] MACs and GEMM above it, a pure function of the
+//! shape. Everything outside this crate reaches them through
+//! [`crate::KernelBackend`].
 //!
 //! # Workspace reuse
 //!
-//! The `*_with` variants ([`conv2d_with`], [`conv2d_backward_weight_with`],
-//! [`conv2d_backward_input_with`]) take a `&mut Workspace` and are what the
-//! neural-network layer above threads through its forward/backward passes so
+//! Every kernel takes a `&mut Workspace` for its lowering scratch, so
 //! repeated evaluation (NTK repeats, linear-region probes) allocates no
-//! scratch. The `*_pooled` variants additionally draw their *output* tensors
-//! from the workspace's recycling pool — batch-level feature maps are past
-//! the allocator's mmap threshold, so fresh allocation per call costs page
-//! faults. The plain entry points allocate a fresh workspace per call and
-//! are otherwise identical.
+//! scratch; the forward and input-gradient kernels also draw their
+//! *output* tensors from the workspace's recycling pool — batch-level
+//! feature maps are past the allocator's mmap threshold, so fresh
+//! allocation per call costs page faults.
 //!
 //! # Per-sample weight gradients
 //!
-//! [`conv2d_backward_weight_per_sample_with`] /
-//! [`conv2d_backward_weight_per_sample_into`] emit one weight gradient per
+//! [`conv2d_backward_weight_per_sample_into`] emits one weight gradient per
 //! batch element from a single shared lowering per sample — the kernel
-//! behind batched per-sample gradients for the NTK Gram matrix, with
-//! [`conv2d_backward_weight_per_sample_direct`] as its naive-loop oracle.
+//! behind batched per-sample gradients for the NTK Gram matrix.
 
 use crate::linalg::{
     gemm_nn_implicit, gemm_nn_uncounted, gemm_tn_uncounted, uses_row_band, ColumnOperand,
 };
 use crate::{Result, Shape, Tensor, TensorError, Workspace};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Static description of a 2-D convolution: kernel size, stride and padding.
 ///
@@ -112,61 +107,13 @@ impl Conv2dSpec {
     }
 }
 
-/// Which convolution implementation the dispatching entry points use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConvEngine {
-    /// Pick per call: direct below a small-work threshold, GEMM above.
-    Auto,
-    /// Always use the direct (naive-loop) reference kernels.
-    Direct,
-    /// Always use the GEMM kernels.
-    Im2colGemm,
-}
-
-/// Process-wide engine override: 0 = Auto, 1 = Direct, 2 = Im2colGemm.
-static CONV_ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// Pins the convolution engine process-wide.
-///
-/// Intended for benchmarks (measuring direct vs GEMM on identical inputs)
-/// and for the equivalence property tests; production code should leave the
-/// default [`ConvEngine::Auto`] in place.
-///
-/// **Store hazard:** the pin changes the numerics of the paper-default
-/// execution path (and of the `blocked_gemm` backend, which *is* that
-/// path), but it is not part of any store identity — evaluations computed
-/// under a non-`Auto` pin must never be written into a shared
-/// `micronas-store` log. Benches pin temporarily around storeless
-/// measurements and restore `Auto`; do the same. The other backends
-/// (`direct`, `simd`, `int8_mcu`) ignore the pin entirely.
-pub fn set_conv_engine(engine: ConvEngine) {
-    let code = match engine {
-        ConvEngine::Auto => 0,
-        ConvEngine::Direct => 1,
-        ConvEngine::Im2colGemm => 2,
-    };
-    CONV_ENGINE.store(code, Ordering::Relaxed);
-}
-
-/// The engine currently in force.
-pub fn conv_engine() -> ConvEngine {
-    match CONV_ENGINE.load(Ordering::Relaxed) {
-        1 => ConvEngine::Direct,
-        2 => ConvEngine::Im2colGemm,
-        _ => ConvEngine::Auto,
-    }
-}
-
-/// Under [`ConvEngine::Auto`], problems with fewer MACs than this use the
-/// direct kernels: at that size the im2col lowering costs more than the
-/// multiply saves.
+/// Problems with fewer MACs than this run the direct kernels: at that size
+/// the im2col lowering costs more than the multiply saves.
 pub(crate) const DIRECT_MAC_THRESHOLD: usize = 4_096;
 
-/// Whether a problem sits below [`DIRECT_MAC_THRESHOLD`] — a pure function
-/// of the shape, independent of the process-global engine pin. Backends
-/// whose numerics must not vary with [`set_conv_engine`] (everything except
-/// the paper-default blocked path, which deliberately honours the pin)
-/// dispatch on this instead of [`use_direct`].
+/// Whether a problem sits below [`DIRECT_MAC_THRESHOLD`]: a pure function
+/// of the shape, so a kernel's values never depend on anything but its
+/// inputs.
 pub(crate) fn below_direct_threshold(
     n: usize,
     c_in: usize,
@@ -176,28 +123,6 @@ pub(crate) fn below_direct_threshold(
     ow: usize,
 ) -> bool {
     n * c_out * c_in * k * k * oh * ow < DIRECT_MAC_THRESHOLD
-}
-
-/// Serialises every test in this crate that pins (or asserts independence
-/// from) the process-global conv engine: without a shared lock, one test
-/// restoring `Auto` could silently downgrade another test's pinned engine
-/// mid-comparison.
-#[cfg(test)]
-pub(crate) static ENGINE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-pub(crate) fn use_direct(
-    n: usize,
-    c_in: usize,
-    c_out: usize,
-    k: usize,
-    oh: usize,
-    ow: usize,
-) -> bool {
-    match conv_engine() {
-        ConvEngine::Direct => true,
-        ConvEngine::Im2colGemm => false,
-        ConvEngine::Auto => below_direct_threshold(n, c_in, c_out, k, oh, ow),
-    }
 }
 
 pub(crate) fn check_conv_args(
@@ -375,86 +300,35 @@ pub(crate) fn col2im_add(
 // Forward
 // ---------------------------------------------------------------------------
 
-/// Forward 2-D convolution.
+/// Forward 2-D convolution, the body of [`crate::BlockedGemmBackend`]'s
+/// `conv2d`.
 ///
 /// `input` is `[N, C_in, H, W]`, `weight` is `[C_out, C_in, K, K]`; the
 /// result is `[N, C_out, H_out, W_out]` per [`Conv2dSpec::output_hw`].
-///
-/// Dispatches between the direct and im2col/GEMM kernels (see the module
-/// docs); allocates a throwaway workspace. Hot loops should prefer
-/// [`conv2d_with`].
+/// Dispatches between the direct and GEMM kernels (see the module docs) and
+/// draws the output tensor from the workspace recycling pool: callers that
+/// return it to the pool ([`Workspace::recycle`]) when done make
+/// steady-state forward passes allocation-free.
 ///
 /// # Errors
 ///
 /// Returns an error if ranks or channel counts are inconsistent, or if the
 /// weight kernel size does not match `spec.kernel`.
-pub fn conv2d(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
-    conv2d_with(input, weight, spec, &mut Workspace::default())
-}
-
-/// [`conv2d_with`] drawing the output tensor from the workspace recycling
-/// pool instead of the allocator.
-///
-/// Numerically identical to [`conv2d_with`]; the only difference is where
-/// the output buffer comes from. Callers that return the tensor to the pool
-/// ([`Workspace::recycle`]) when done make steady-state forward passes
-/// allocation-free — batch-level feature maps are large enough that a fresh
-/// allocation per call costs an mmap plus page faults.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d`].
-pub fn conv2d_pooled(
+pub(crate) fn conv2d_pooled(
     input: &Tensor,
     weight: &Tensor,
     spec: Conv2dSpec,
     workspace: &mut Workspace,
 ) -> Result<Tensor> {
-    let (n, _, h, w, c_out, _) = check_conv_args(input, weight, spec)?;
+    let (n, c_in, h, w, c_out, k) = check_conv_args(input, weight, spec)?;
     let (oh, ow) = spec.output_hw(h, w);
     let shape = Shape::nchw(n, c_out, oh, ow);
     // Unspecified contents: every dispatch path fully overwrites the output
     // (the direct loops assign each element; the GEMM branches run with
     // accumulate=false, which clears the destination themselves).
-    let out = Tensor::from_vec(shape, workspace.take(n * c_out * oh * ow))
+    let mut out = Tensor::from_vec(shape, workspace.take(n * c_out * oh * ow))
         .expect("length matches shape by construction");
-    conv2d_assign(input, weight, spec, workspace, out)
-}
-
-/// [`conv2d`] with an explicit scratch [`Workspace`].
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d`].
-pub fn conv2d_with(
-    input: &Tensor,
-    weight: &Tensor,
-    spec: Conv2dSpec,
-    workspace: &mut Workspace,
-) -> Result<Tensor> {
-    let (n, _c_in, h, w, c_out, _) = check_conv_args(input, weight, spec)?;
-    let (oh, ow) = spec.output_hw(h, w);
-    let out = Tensor::zeros(Shape::nchw(n, c_out, oh, ow));
-    conv2d_assign(input, weight, spec, workspace, out)
-}
-
-/// Dispatching forward-conv body: writes into the pre-zeroed `out` (owned by
-/// the caller, either fresh or from the workspace pool) and returns it.
-/// Arguments have been validated.
-fn conv2d_assign(
-    input: &Tensor,
-    weight: &Tensor,
-    spec: Conv2dSpec,
-    workspace: &mut Workspace,
-    mut out: Tensor,
-) -> Result<Tensor> {
-    let id = input.shape().dims();
-    let (n, c_in, h, w) = (id[0], id[1], id[2], id[3]);
-    let c_out = weight.shape().dims()[0];
-    let k = spec.kernel;
-    let (oh, ow) = spec.output_hw(h, w);
-    if use_direct(n, c_in, c_out, k, oh, ow) {
-        // Arguments are already validated; go straight to the loops.
+    if below_direct_threshold(n, c_in, c_out, k, oh, ow) {
         conv2d_direct_unchecked(input, weight, spec, n, c_in, h, w, c_out, oh, ow, &mut out);
         return Ok(out);
     }
@@ -631,21 +505,8 @@ impl ColumnOperand for PaddedImage<'_> {
     }
 }
 
-/// Direct (naive-loop) forward convolution: the reference implementation.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d`].
-pub fn conv2d_direct(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
-    let (n, c_in, h, w, c_out, _) = check_conv_args(input, weight, spec)?;
-    let (oh, ow) = spec.output_hw(h, w);
-    let mut out = Tensor::zeros(Shape::nchw(n, c_out, oh, ow));
-    conv2d_direct_unchecked(input, weight, spec, n, c_in, h, w, c_out, oh, ow, &mut out);
-    Ok(out)
-}
-
-/// Loop body of [`conv2d_direct`], writing every element of `out`; callers
-/// have validated the arguments.
+/// Direct (naive-loop) forward convolution, the reference implementation,
+/// writing every element of `out`; callers have validated the arguments.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_direct_unchecked(
     input: &Tensor,
@@ -721,9 +582,9 @@ pub(crate) fn conv2d_direct_unchecked(
 ///
 /// # Errors
 ///
-/// Returns an error under the same conditions as [`conv2d`], or if the
-/// inputs do not all share one shape.
-pub fn conv2d_forward_packed_pooled(
+/// Returns an error under the same conditions as [`conv2d_pooled`], or if
+/// the inputs do not all share one shape.
+pub(crate) fn conv2d_forward_packed_pooled(
     inputs: &[&Tensor],
     weight: &Tensor,
     spec: Conv2dSpec,
@@ -743,7 +604,7 @@ pub fn conv2d_forward_packed_pooled(
         }
     }
     let (oh, ow) = spec.output_hw(h, w);
-    if use_direct(n, c_in, c_out, k, oh, ow) {
+    if below_direct_threshold(n, c_in, c_out, k, oh, ow) {
         // Identical geometry means every input makes the same dispatch
         // decision the solo path would: the direct loops.
         return inputs
@@ -769,31 +630,18 @@ pub fn conv2d_forward_packed_pooled(
 // Weight gradient
 // ---------------------------------------------------------------------------
 
-/// Gradient of the convolution output with respect to its weights.
+/// Gradient of the convolution output with respect to its weights, summed
+/// over the batch: the body of [`crate::BlockedGemmBackend`]'s
+/// `conv2d_backward_weight`.
 ///
 /// Given the forward `input` and the upstream gradient `grad_out`
 /// (`[N, C_out, H_out, W_out]`), returns a tensor with the same shape as the
-/// weights. Dispatches like [`conv2d`]; hot loops should prefer
-/// [`conv2d_backward_weight_with`].
+/// weights. Dispatches like [`conv2d_pooled`].
 ///
 /// # Errors
 ///
 /// Returns an error if the shapes are inconsistent with `spec`.
-pub fn conv2d_backward_weight(
-    input: &Tensor,
-    grad_out: &Tensor,
-    c_out: usize,
-    spec: Conv2dSpec,
-) -> Result<Tensor> {
-    conv2d_backward_weight_with(input, grad_out, c_out, spec, &mut Workspace::default())
-}
-
-/// [`conv2d_backward_weight`] with an explicit scratch [`Workspace`].
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_backward_weight`].
-pub fn conv2d_backward_weight_with(
+pub(crate) fn conv2d_backward_weight_with(
     input: &Tensor,
     grad_out: &Tensor,
     c_out: usize,
@@ -801,15 +649,30 @@ pub fn conv2d_backward_weight_with(
     workspace: &mut Workspace,
 ) -> Result<Tensor> {
     let (n, c_in, h, w, oh, ow) = check_backward_weight_args(input, grad_out, c_out, spec)?;
-    let k = spec.kernel;
-    if use_direct(n, c_in, c_out, k, oh, ow) {
-        // Arguments are already validated; go straight to the loops.
+    if below_direct_threshold(n, c_in, c_out, spec.kernel, oh, ow) {
         return Ok(conv2d_backward_weight_unchecked(
             input, grad_out, c_out, spec, n, c_in, h, w, oh, ow,
         ));
     }
     count_gemm_dispatch();
+    Ok(conv2d_backward_weight_gemm(
+        input, grad_out, c_out, spec, workspace,
+    ))
+}
 
+/// GEMM body of the summed weight gradient. Arguments have been validated;
+/// the caller counts the dispatch.
+fn conv2d_backward_weight_gemm(
+    input: &Tensor,
+    grad_out: &Tensor,
+    c_out: usize,
+    spec: Conv2dSpec,
+    workspace: &mut Workspace,
+) -> Tensor {
+    let id = input.shape().dims();
+    let (n, c_in, h, w) = (id[0], id[1], id[2], id[3]);
+    let (oh, ow) = spec.output_hw(h, w);
+    let k = spec.kernel;
     let mut grad_w = Tensor::zeros(Shape::nchw(c_out, c_in, k, k));
     let ohow = oh * ow;
     let ckk = c_in * k * k;
@@ -838,7 +701,7 @@ pub fn conv2d_backward_weight_with(
     }
     let gw = grad_w.data_mut();
     transpose_into(w_t, ckk, c_out, gw);
-    Ok(grad_w)
+    grad_w
 }
 
 /// Writes `dstᵀ = src` for a row-major `[rows, cols]` `src` into a
@@ -858,61 +721,26 @@ pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f
 // Per-sample weight gradient (batched backward)
 // ---------------------------------------------------------------------------
 
-/// Per-sample weight gradients: one `[C_out, C_in, K, K]` gradient per batch
-/// element, **not** summed over the batch.
+/// Per-sample weight gradients written straight into a caller matrix: one
+/// `[C_out, C_in, K, K]` gradient per batch element, **not** summed over the
+/// batch; sample `b`'s flattened gradient lands at
+/// `out[b * row_stride + offset ..][.. c_out·c_in·k²]`. The body of
+/// [`crate::BlockedGemmBackend`]'s `conv2d_backward_weight_per_sample_into`.
 ///
 /// This is the kernel behind batched per-sample gradients for the NTK Gram
 /// matrix: one shared im2col lowering per sample feeds one `A · Bᵀ` GEMM per
 /// sample, emitting all `N` weight gradients in a single pass instead of `N`
-/// separate backward calls. The result has shape `[N, C_out, C_in, K, K]`;
-/// summing over the leading axis reproduces [`conv2d_backward_weight`]
-/// exactly.
-///
-/// Hot loops that assemble a contiguous `[N, P]` gradient matrix should use
-/// [`conv2d_backward_weight_per_sample_into`] and write each sample's slice
-/// in place.
-///
-/// # Errors
-///
-/// Returns an error if the shapes are inconsistent with `spec`.
-pub fn conv2d_backward_weight_per_sample_with(
-    input: &Tensor,
-    grad_out: &Tensor,
-    c_out: usize,
-    spec: Conv2dSpec,
-    workspace: &mut Workspace,
-) -> Result<Tensor> {
-    let (n, c_in, ..) = check_backward_weight_args(input, grad_out, c_out, spec)?;
-    let per_sample = c_out * c_in * spec.kernel * spec.kernel;
-    let mut out = Tensor::zeros(Shape::nchw(n, c_out, c_in * spec.kernel, spec.kernel));
-    conv2d_backward_weight_per_sample_into(
-        input,
-        grad_out,
-        c_out,
-        spec,
-        workspace,
-        out.data_mut(),
-        per_sample,
-        0,
-    )?;
-    Ok(out)
-}
-
-/// [`conv2d_backward_weight_per_sample_with`] writing straight into a caller
-/// matrix: sample `b`'s flattened `[C_out, C_in, K, K]` gradient lands at
-/// `out[b * row_stride + offset ..][.. c_out·c_in·k²]`.
-///
-/// With `row_stride` set to the network's total parameter count and `offset`
-/// to this layer's parameter offset, the batched backward pass of a network
-/// assembles the full `[N, P]` per-sample gradient matrix with no staging
-/// copies.
+/// separate backward calls. With `row_stride` set to the network's total
+/// parameter count and `offset` to this layer's parameter offset, the
+/// batched backward pass of a network assembles the full `[N, P]`
+/// per-sample gradient matrix with no staging copies.
 ///
 /// # Errors
 ///
 /// Returns an error if the shapes are inconsistent with `spec`, or if `out`
 /// is too short for the last sample's slice.
 #[allow(clippy::too_many_arguments)]
-pub fn conv2d_backward_weight_per_sample_into(
+pub(crate) fn conv2d_backward_weight_per_sample_into(
     input: &Tensor,
     grad_out: &Tensor,
     c_out: usize,
@@ -922,25 +750,14 @@ pub fn conv2d_backward_weight_per_sample_into(
     row_stride: usize,
     offset: usize,
 ) -> Result<()> {
-    let (n, c_in, h, w, oh, ow) = check_backward_weight_args(input, grad_out, c_out, spec)?;
+    let (n, c_in, h, w, oh, ow) =
+        check_per_sample_args(input, grad_out, c_out, spec, out.len(), row_stride, offset)?;
     let k = spec.kernel;
-    let per_sample = c_out * c_in * k * k;
-    if n > 0 && out.len() < (n - 1) * row_stride + offset + per_sample {
-        return Err(TensorError::InvalidArgument(format!(
-            "per-sample gradient output buffer too short: {} < {}",
-            out.len(),
-            (n - 1) * row_stride + offset + per_sample
-        )));
-    }
-    let ohow = oh * ow;
-    let ckk = c_in * k * k;
-    let in_stride = c_in * h * w;
-    let out_stride = c_out * ohow;
     // Dispatch on the per-sample workload: each sample's gradient is its own
     // small GEMM, and matching the per-sample (batch-1) decision keeps these
-    // values bitwise-identical to a loop of batch-1 backward calls under
-    // every engine, including `Auto`.
-    if use_direct(1, c_in, c_out, k, oh, ow) {
+    // values bitwise-identical to a loop of batch-1 backward calls.
+    if below_direct_threshold(1, c_in, c_out, k, oh, ow) {
+        let per_sample = c_out * c_in * k * k;
         for b in 0..n {
             let dst = &mut out[b * row_stride + offset..b * row_stride + offset + per_sample];
             direct_weight_grad_sample(input, grad_out, b, c_out, c_in, h, w, oh, ow, spec, dst);
@@ -948,10 +765,62 @@ pub fn conv2d_backward_weight_per_sample_into(
         return Ok(());
     }
     count_gemm_dispatch();
-    // One shared im2col lowering per sample feeds that sample's
-    // weight-gradient GEMM, in the same transposed narrow shape as
-    // [`conv2d_backward_weight_with`] — so each batched per-sample gradient
-    // is bit-for-bit the value a batch-1 backward call would produce.
+    per_sample_gemm_unchecked(
+        input, grad_out, c_out, spec, workspace, out, row_stride, offset,
+    );
+    Ok(())
+}
+
+/// Validates per-sample weight-gradient arguments, including that a
+/// `[N, row_stride]` destination of `out_len` floats holds the last
+/// sample's slice at `offset`. Returns the geometry like
+/// [`check_backward_weight_args`].
+pub(crate) fn check_per_sample_args(
+    input: &Tensor,
+    grad_out: &Tensor,
+    c_out: usize,
+    spec: Conv2dSpec,
+    out_len: usize,
+    row_stride: usize,
+    offset: usize,
+) -> Result<(usize, usize, usize, usize, usize, usize)> {
+    let dims = check_backward_weight_args(input, grad_out, c_out, spec)?;
+    let (n, c_in) = (dims.0, dims.1);
+    let need = (n.max(1) - 1) * row_stride + offset + c_out * c_in * spec.kernel * spec.kernel;
+    if n > 0 && out_len < need {
+        return Err(TensorError::InvalidArgument(format!(
+            "per-sample gradient output buffer too short: {out_len} < {need}"
+        )));
+    }
+    Ok(dims)
+}
+
+/// GEMM body of the per-sample weight gradient: one shared im2col lowering
+/// per sample feeds that sample's weight-gradient GEMM, in the same
+/// transposed narrow shape as [`conv2d_backward_weight_gemm`] — so each
+/// batched per-sample gradient is bit-for-bit the value a batch-1 backward
+/// call would produce. Arguments have been validated; the caller counts the
+/// dispatch.
+#[allow(clippy::too_many_arguments)]
+fn per_sample_gemm_unchecked(
+    input: &Tensor,
+    grad_out: &Tensor,
+    c_out: usize,
+    spec: Conv2dSpec,
+    workspace: &mut Workspace,
+    out: &mut [f32],
+    row_stride: usize,
+    offset: usize,
+) {
+    let id = input.shape().dims();
+    let (n, c_in, h, w) = (id[0], id[1], id[2], id[3]);
+    let (oh, ow) = spec.output_hw(h, w);
+    let k = spec.kernel;
+    let per_sample = c_out * c_in * k * k;
+    let ohow = oh * ow;
+    let ckk = c_in * k * k;
+    let in_stride = c_in * h * w;
+    let out_stride = c_out * ohow;
     let col_len = if spec.is_pointwise() { 0 } else { ckk * ohow };
     let (col, aux) = workspace.col_and_aux(col_len, (ohow + ckk) * c_out);
     let (g_t, w_t) = aux.split_at_mut(ohow * c_out);
@@ -969,7 +838,6 @@ pub fn conv2d_backward_weight_per_sample_into(
         let dst = &mut out[b * row_stride + offset..b * row_stride + offset + per_sample];
         transpose_into(w_t, ckk, c_out, dst);
     }
-    Ok(())
 }
 
 /// One pack member's destination inside its own `[N, P]` per-sample gradient
@@ -1012,8 +880,8 @@ fn bitwise_eq(a: &[f32], b: &[f32]) -> bool {
 /// Bitwise identity with the solo path holds by construction rather than by
 /// a width gate: the grouped dispatch *iterates* the exact per-candidate,
 /// per-sample schedule of [`conv2d_backward_weight_per_sample_into`] — the
-/// same `use_direct(1, ..)` engine decision, the same `(ckk, ohow, c_out)`
-/// GEMM shapes, the same transpose staging — it never widens a GEMM across
+/// same batch-1 [`below_direct_threshold`] decision, the same
+/// `(ckk, ohow, c_out)` GEMM shapes, the same transpose staging — it never widens a GEMM across
 /// members. Sharing a lowered panel is safe for the same reason the shared
 /// stem forward is: equal input bytes lower to equal column bytes.
 ///
@@ -1022,7 +890,7 @@ fn bitwise_eq(a: &[f32], b: &[f32]) -> bool {
 /// Returns an error if the slice lengths disagree, any member's shapes are
 /// inconsistent with the lead member or with `spec`, or a member's `out`
 /// buffer is too short for the last sample's slice.
-pub fn conv2d_backward_weight_per_sample_packed_into(
+pub(crate) fn conv2d_backward_weight_per_sample_packed_into(
     inputs: &[&Tensor],
     grad_outs: &[&Tensor],
     c_out: usize,
@@ -1067,19 +935,21 @@ pub fn conv2d_backward_weight_per_sample_packed_into(
                 rhs: first.shape().dims().to_vec(),
             });
         }
-        check_backward_weight_args(input, grad_out, c_out, spec)?;
-        if n > 0 && slot.out.len() < (n - 1) * slot.row_stride + slot.offset + per_sample {
-            return Err(TensorError::InvalidArgument(format!(
-                "per-sample gradient output buffer too short: {} < {}",
-                slot.out.len(),
-                (n - 1) * slot.row_stride + slot.offset + per_sample
-            )));
-        }
+        let len = slot.out.len();
+        check_per_sample_args(
+            input,
+            grad_out,
+            c_out,
+            spec,
+            len,
+            slot.row_stride,
+            slot.offset,
+        )?;
     }
     // Same geometry-only (batch-1) engine decision as the solo per-sample
     // kernel — shared by every member, so the packed dispatch can never
     // diverge from a per-member loop of solo calls.
-    if use_direct(1, c_in, c_out, k, oh, ow) {
+    if below_direct_threshold(1, c_in, c_out, k, oh, ow) {
         for ((input, grad_out), slot) in inputs.iter().zip(grad_outs).zip(slots.iter_mut()) {
             for b in 0..n {
                 let dst = &mut slot.out[b * slot.row_stride + slot.offset..][..per_sample];
@@ -1149,30 +1019,6 @@ pub fn conv2d_backward_weight_per_sample_packed_into(
         }
     }
     Ok(())
-}
-
-/// Direct (naive-loop) per-sample weight gradients: the reference
-/// implementation for [`conv2d_backward_weight_per_sample_with`].
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_backward_weight_per_sample_with`].
-pub fn conv2d_backward_weight_per_sample_direct(
-    input: &Tensor,
-    grad_out: &Tensor,
-    c_out: usize,
-    spec: Conv2dSpec,
-) -> Result<Tensor> {
-    let (n, c_in, h, w, oh, ow) = check_backward_weight_args(input, grad_out, c_out, spec)?;
-    let k = spec.kernel;
-    let per_sample = c_out * c_in * k * k;
-    let mut out = Tensor::zeros(Shape::nchw(n, c_out, c_in * k, k));
-    let data = out.data_mut();
-    for b in 0..n {
-        let dst = &mut data[b * per_sample..(b + 1) * per_sample];
-        direct_weight_grad_sample(input, grad_out, b, c_out, c_in, h, w, oh, ow, spec, dst);
-    }
-    Ok(out)
 }
 
 /// Direct weight gradient of a single batch element, written into `dst`
@@ -1256,25 +1102,8 @@ pub(crate) fn check_backward_weight_args(
     Ok((n, c_in, h, w, oh, ow))
 }
 
-/// Direct (naive-loop) weight gradient: the reference implementation.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_backward_weight`].
-pub fn conv2d_backward_weight_direct(
-    input: &Tensor,
-    grad_out: &Tensor,
-    c_out: usize,
-    spec: Conv2dSpec,
-) -> Result<Tensor> {
-    let (n, c_in, h, w, oh, ow) = check_backward_weight_args(input, grad_out, c_out, spec)?;
-    Ok(conv2d_backward_weight_unchecked(
-        input, grad_out, c_out, spec, n, c_in, h, w, oh, ow,
-    ))
-}
-
-/// Loop body of [`conv2d_backward_weight_direct`]; callers have validated
-/// the arguments.
+/// Direct (naive-loop) weight gradient, the reference implementation;
+/// callers have validated the arguments.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_backward_weight_unchecked(
     input: &Tensor,
@@ -1324,85 +1153,29 @@ pub(crate) fn conv2d_backward_weight_unchecked(
 // Input gradient
 // ---------------------------------------------------------------------------
 
-/// Gradient of the convolution output with respect to its input.
-///
-/// Dispatches like [`conv2d`]; hot loops should prefer
-/// [`conv2d_backward_input_with`].
+/// Gradient of the convolution output with respect to its input: the body
+/// of [`crate::BlockedGemmBackend`]'s `conv2d_backward_input`. Dispatches
+/// like [`conv2d_pooled`] and draws the output tensor from the workspace
+/// recycling pool.
 ///
 /// # Errors
 ///
 /// Returns an error if the shapes are inconsistent with `spec`.
-pub fn conv2d_backward_input(
-    weight: &Tensor,
-    grad_out: &Tensor,
-    input_shape: &Shape,
-    spec: Conv2dSpec,
-) -> Result<Tensor> {
-    conv2d_backward_input_with(
-        weight,
-        grad_out,
-        input_shape,
-        spec,
-        &mut Workspace::default(),
-    )
-}
-
-/// [`conv2d_backward_input`] with an explicit scratch [`Workspace`].
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_backward_input`].
-pub fn conv2d_backward_input_with(
+pub(crate) fn conv2d_backward_input_pooled(
     weight: &Tensor,
     grad_out: &Tensor,
     input_shape: &Shape,
     spec: Conv2dSpec,
     workspace: &mut Workspace,
 ) -> Result<Tensor> {
-    check_backward_input_args(weight, grad_out, input_shape, spec)?;
-    let grad_in = Tensor::zeros(input_shape.clone());
-    conv2d_backward_input_assign(weight, grad_out, spec, workspace, grad_in)
-}
-
-/// [`conv2d_backward_input_with`] drawing the output tensor from the
-/// workspace recycling pool instead of the allocator (see [`conv2d_pooled`]).
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_backward_input`].
-pub fn conv2d_backward_input_pooled(
-    weight: &Tensor,
-    grad_out: &Tensor,
-    input_shape: &Shape,
-    spec: Conv2dSpec,
-    workspace: &mut Workspace,
-) -> Result<Tensor> {
-    check_backward_input_args(weight, grad_out, input_shape, spec)?;
-    let grad_in = Tensor::from_vec(
+    let (n, c_in, h, w, c_out, oh, ow) =
+        check_backward_input_args(weight, grad_out, input_shape, spec)?;
+    let mut grad_in = Tensor::from_vec(
         input_shape.clone(),
         workspace.take_zeroed(input_shape.numel()),
     )
     .expect("length matches shape by construction");
-    conv2d_backward_input_assign(weight, grad_out, spec, workspace, grad_in)
-}
-
-/// Dispatching input-gradient body: writes into the pre-zeroed `grad_in`
-/// (owned by the caller, fresh or pooled) and returns it. Arguments have
-/// been validated.
-fn conv2d_backward_input_assign(
-    weight: &Tensor,
-    grad_out: &Tensor,
-    spec: Conv2dSpec,
-    workspace: &mut Workspace,
-    mut grad_in: Tensor,
-) -> Result<Tensor> {
-    let id = grad_in.shape().dims();
-    let (n, c_in, h, w) = (id[0], id[1], id[2], id[3]);
-    let c_out = weight.shape().dims()[0];
-    let k = spec.kernel;
-    let (oh, ow) = spec.output_hw(h, w);
-    if use_direct(n, c_in, c_out, k, oh, ow) {
-        // Arguments are already validated; go straight to the loops.
+    if below_direct_threshold(n, c_in, c_out, spec.kernel, oh, ow) {
         conv2d_backward_input_unchecked(
             weight,
             grad_out,
@@ -1419,21 +1192,46 @@ fn conv2d_backward_input_assign(
         return Ok(grad_in);
     }
     count_gemm_dispatch();
+    conv2d_backward_input_gemm(
+        weight,
+        grad_out,
+        input_shape,
+        spec,
+        workspace,
+        grad_in.data_mut(),
+    );
+    Ok(grad_in)
+}
 
+/// GEMM body of the input gradient, accumulating into the pre-zeroed
+/// `grad_in` (`input_shape`, flattened). Arguments have been validated; the
+/// caller counts the dispatch.
+fn conv2d_backward_input_gemm(
+    weight: &Tensor,
+    grad_out: &Tensor,
+    input_shape: &Shape,
+    spec: Conv2dSpec,
+    workspace: &mut Workspace,
+    grad_in: &mut [f32],
+) {
+    let id = input_shape.dims();
+    let (n, c_in, h, w) = (id[0], id[1], id[2], id[3]);
+    let c_out = weight.shape().dims()[0];
+    let k = spec.kernel;
+    let (oh, ow) = spec.output_hw(h, w);
     let ohow = oh * ow;
     let ckk = c_in * k * k;
     let in_stride = c_in * h * w;
     let out_stride = c_out * ohow;
     let w_mat = weight.data();
-    let gi = grad_in.data_mut();
     if spec.is_pointwise() {
         for b in 0..n {
             let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
-            let dst = &mut gi[b * in_stride..(b + 1) * in_stride];
+            let dst = &mut grad_in[b * in_stride..(b + 1) * in_stride];
             // grad_in_b [C_in, HW] = W [C_out, C_in]ᵀ · grad_out_b.
             gemm_tn_uncounted(ckk, c_out, ohow, w_mat, g, dst, false);
         }
-        return Ok(grad_in);
+        return;
     }
     // Column *gradients* stage in the auxiliary buffer, leaving the column
     // buffer free for kernels that hold an im2col lowering across this call.
@@ -1441,10 +1239,9 @@ fn conv2d_backward_input_assign(
     for b in 0..n {
         let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
         gemm_tn_uncounted(ckk, c_out, ohow, w_mat, g, stage, false);
-        let dst = &mut gi[b * in_stride..(b + 1) * in_stride];
+        let dst = &mut grad_in[b * in_stride..(b + 1) * in_stride];
         col2im_add(stage, c_in, h, w, spec, oh, ow, dst);
     }
-    Ok(grad_in)
 }
 
 pub(crate) fn check_backward_input_args(
@@ -1476,38 +1273,9 @@ pub(crate) fn check_backward_input_args(
     Ok((n, c_in, h, w, c_out, oh, ow))
 }
 
-/// Direct (naive-loop) input gradient: the reference implementation.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_backward_input`].
-pub fn conv2d_backward_input_direct(
-    weight: &Tensor,
-    grad_out: &Tensor,
-    input_shape: &Shape,
-    spec: Conv2dSpec,
-) -> Result<Tensor> {
-    let (n, c_in, h, w, c_out, oh, ow) =
-        check_backward_input_args(weight, grad_out, input_shape, spec)?;
-    let mut grad_in = Tensor::zeros(input_shape.clone());
-    conv2d_backward_input_unchecked(
-        weight,
-        grad_out,
-        spec,
-        n,
-        c_in,
-        h,
-        w,
-        c_out,
-        oh,
-        ow,
-        &mut grad_in,
-    );
-    Ok(grad_in)
-}
-
-/// Loop body of [`conv2d_backward_input_direct`], accumulating into the
-/// pre-zeroed `grad_in`; callers have validated the arguments.
+/// Direct (naive-loop) input gradient, the reference implementation,
+/// accumulating into the pre-zeroed `grad_in`; callers have validated the
+/// arguments.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_backward_input_unchecked(
     weight: &Tensor,
@@ -1555,7 +1323,7 @@ pub(crate) fn conv2d_backward_input_unchecked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeterministicRng;
+    use crate::{DeterministicRng, DirectBackend, KernelBackend};
     use proptest::prelude::*;
 
     fn random_tensor(shape: Shape, seed: u64) -> Tensor {
@@ -1564,12 +1332,17 @@ mod tests {
         Tensor::from_vec(shape, data).unwrap()
     }
 
+    /// The dispatching forward on a throwaway workspace.
+    fn conv(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
+        conv2d_pooled(input, weight, spec, &mut Workspace::default())
+    }
+
     #[test]
     fn identity_kernel_preserves_input() {
         // A 1x1 kernel with weight 1.0 and a single channel is the identity.
         let input = random_tensor(Shape::nchw(1, 1, 4, 4), 1);
         let weight = Tensor::ones(Shape::nchw(1, 1, 1, 1));
-        let out = conv2d(&input, &weight, Conv2dSpec::new(1, 1, 0)).unwrap();
+        let out = conv(&input, &weight, Conv2dSpec::new(1, 1, 0)).unwrap();
         assert_eq!(out, input);
     }
 
@@ -1579,7 +1352,7 @@ mod tests {
         // centre output is 9, corners are 4, edges are 6.
         let input = Tensor::ones(Shape::nchw(1, 1, 3, 3));
         let weight = Tensor::ones(Shape::nchw(1, 1, 3, 3));
-        let out = conv2d(&input, &weight, Conv2dSpec::new(3, 1, 1)).unwrap();
+        let out = conv(&input, &weight, Conv2dSpec::new(3, 1, 1)).unwrap();
         assert_eq!(out.at4(0, 0, 1, 1), 9.0);
         assert_eq!(out.at4(0, 0, 0, 0), 4.0);
         assert_eq!(out.at4(0, 0, 0, 1), 6.0);
@@ -1589,7 +1362,7 @@ mod tests {
     fn stride_two_halves_resolution() {
         let input = random_tensor(Shape::nchw(2, 3, 8, 8), 2);
         let weight = random_tensor(Shape::nchw(4, 3, 3, 3), 3);
-        let out = conv2d(&input, &weight, Conv2dSpec::new(3, 2, 1)).unwrap();
+        let out = conv(&input, &weight, Conv2dSpec::new(3, 2, 1)).unwrap();
         assert_eq!(out.shape().dims(), &[2, 4, 4, 4]);
     }
 
@@ -1597,20 +1370,26 @@ mod tests {
     fn channel_mismatch_rejected() {
         let input = Tensor::zeros(Shape::nchw(1, 3, 4, 4));
         let weight = Tensor::zeros(Shape::nchw(2, 4, 3, 3));
-        assert!(conv2d(&input, &weight, Conv2dSpec::new(3, 1, 1)).is_err());
-        assert!(conv2d_direct(&input, &weight, Conv2dSpec::new(3, 1, 1)).is_err());
+        let spec = Conv2dSpec::new(3, 1, 1);
+        assert!(conv(&input, &weight, spec).is_err());
+        assert!(DirectBackend
+            .conv2d(&input, &weight, spec, &mut Workspace::default())
+            .is_err());
     }
 
     #[test]
     fn kernel_spec_mismatch_rejected() {
         let input = Tensor::zeros(Shape::nchw(1, 1, 4, 4));
         let weight = Tensor::zeros(Shape::nchw(1, 1, 3, 3));
-        assert!(conv2d(&input, &weight, Conv2dSpec::new(1, 1, 0)).is_err());
-        assert!(conv2d_direct(&input, &weight, Conv2dSpec::new(1, 1, 0)).is_err());
+        let spec = Conv2dSpec::new(1, 1, 0);
+        assert!(conv(&input, &weight, spec).is_err());
+        assert!(DirectBackend
+            .conv2d(&input, &weight, spec, &mut Workspace::default())
+            .is_err());
     }
 
     /// Packed-vs-solo bitwise identity over one geometry at several pack
-    /// widths, under the engine currently in force.
+    /// widths.
     fn assert_packed_matches_solo(shape: Shape, weight: Tensor, spec: Conv2dSpec, seed: u64) {
         for width in [1usize, 2, 3, 8] {
             let inputs: Vec<Tensor> = (0..width)
@@ -1631,8 +1410,6 @@ mod tests {
 
     #[test]
     fn packed_forward_is_bitwise_solo_across_geometries() {
-        let _guard = ENGINE_TEST_LOCK.lock().unwrap();
-        set_conv_engine(ConvEngine::Auto);
         // Wide schedule, pointwise (the image is its own column matrix):
         // ohow 144 > 32.
         assert_packed_matches_solo(
@@ -1777,28 +1554,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_forward_honours_the_engine_pin() {
-        let _guard = ENGINE_TEST_LOCK.lock().unwrap();
-        for engine in [ConvEngine::Direct, ConvEngine::Im2colGemm] {
-            set_conv_engine(engine);
-            assert_packed_matches_solo(
-                Shape::nchw(2, 6, 12, 12),
-                random_tensor(Shape::nchw(6, 6, 1, 1), 45),
-                Conv2dSpec::new(1, 1, 0),
-                900,
-            );
-            // Narrow, shallow geometry stays solo-identical under both pins.
-            assert_packed_matches_solo(
-                Shape::nchw(3, 2, 5, 5),
-                random_tensor(Shape::nchw(4, 2, 3, 3), 46),
-                Conv2dSpec::new(3, 1, 1),
-                1000,
-            );
-        }
-        set_conv_engine(ConvEngine::Auto);
-    }
-
-    #[test]
     fn packed_forward_rejects_mismatched_input_shapes() {
         let weight = random_tensor(Shape::nchw(4, 3, 3, 3), 47);
         let a = random_tensor(Shape::nchw(2, 3, 8, 8), 48);
@@ -1829,17 +1584,19 @@ mod tests {
         let input = random_tensor(Shape::nchw(2, 2, 5, 5), 10);
         let mut weight = random_tensor(Shape::nchw(3, 2, 3, 3), 11);
         // Loss = sum of outputs; its gradient w.r.t. output is all-ones.
-        let out = conv2d(&input, &weight, spec).unwrap();
+        let out = conv(&input, &weight, spec).unwrap();
         let grad_out = Tensor::ones(out.shape().clone());
-        let analytic = conv2d_backward_weight(&input, &grad_out, 3, spec).unwrap();
+        let analytic =
+            conv2d_backward_weight_with(&input, &grad_out, 3, spec, &mut Workspace::default())
+                .unwrap();
 
         let eps = 1e-2f32;
         for &idx in &[0usize, 7, 23, 53] {
             let orig = weight.data()[idx];
             weight.data_mut()[idx] = orig + eps;
-            let plus = conv2d(&input, &weight, spec).unwrap().sum();
+            let plus = conv(&input, &weight, spec).unwrap().sum();
             weight.data_mut()[idx] = orig - eps;
-            let minus = conv2d(&input, &weight, spec).unwrap().sum();
+            let minus = conv(&input, &weight, spec).unwrap().sum();
             weight.data_mut()[idx] = orig;
             let numeric = (plus - minus) / (2.0 * eps);
             let a = analytic.data()[idx];
@@ -1856,18 +1613,20 @@ mod tests {
         let spec = Conv2dSpec::new(3, 1, 1);
         let mut input = random_tensor(Shape::nchw(1, 2, 4, 4), 20);
         let weight = random_tensor(Shape::nchw(2, 2, 3, 3), 21);
-        let out = conv2d(&input, &weight, spec).unwrap();
+        let out = conv(&input, &weight, spec).unwrap();
         let grad_out = Tensor::ones(out.shape().clone());
+        let shape = Shape::nchw(1, 2, 4, 4);
         let analytic =
-            conv2d_backward_input(&weight, &grad_out, &Shape::nchw(1, 2, 4, 4), spec).unwrap();
+            conv2d_backward_input_pooled(&weight, &grad_out, &shape, spec, &mut Workspace::new())
+                .unwrap();
 
         let eps = 1e-2f32;
         for &idx in &[0usize, 5, 17, 31] {
             let orig = input.data()[idx];
             input.data_mut()[idx] = orig + eps;
-            let plus = conv2d(&input, &weight, spec).unwrap().sum();
+            let plus = conv(&input, &weight, spec).unwrap().sum();
             input.data_mut()[idx] = orig - eps;
-            let minus = conv2d(&input, &weight, spec).unwrap().sum();
+            let minus = conv(&input, &weight, spec).unwrap().sum();
             input.data_mut()[idx] = orig;
             let numeric = (plus - minus) / (2.0 * eps);
             let a = analytic.data()[idx];
@@ -1884,10 +1643,10 @@ mod tests {
         let a = random_tensor(Shape::nchw(1, 2, 6, 6), 30);
         let b = random_tensor(Shape::nchw(1, 2, 6, 6), 31);
         let w = random_tensor(Shape::nchw(2, 2, 3, 3), 32);
-        let lhs = conv2d(&a.add(&b).unwrap(), &w, spec).unwrap();
-        let rhs = conv2d(&a, &w, spec)
+        let lhs = conv(&a.add(&b).unwrap(), &w, spec).unwrap();
+        let rhs = conv(&a, &w, spec)
             .unwrap()
-            .add(&conv2d(&b, &w, spec).unwrap())
+            .add(&conv(&b, &w, spec).unwrap())
             .unwrap();
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             assert!((x - y).abs() < 1e-4);
@@ -1906,13 +1665,9 @@ mod tests {
         }
     }
 
-    /// One full equivalence check (forward + both gradients) for a geometry.
-    /// Serialises the tests that pin the process-global engine: without
-    /// this, a concurrently running test could restore `Auto` while another
-    /// is mid-comparison, silently downgrading its "GEMM" side to the direct
-    /// kernels and making the equivalence check vacuous.
-    use crate::conv::ENGINE_TEST_LOCK as ENGINE_LOCK;
-
+    /// One full equivalence check (forward + both gradients) for a geometry:
+    /// the GEMM bodies, called past the small-shape dispatch so tiny
+    /// geometries exercise them too, against the direct loops.
     fn check_engines_agree(
         n: usize,
         c_in: usize,
@@ -1922,7 +1677,6 @@ mod tests {
         spec: Conv2dSpec,
         seed: u64,
     ) {
-        let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let input = random_tensor(Shape::nchw(n, c_in, h, w), seed);
         let weight = random_tensor(Shape::nchw(c_out, c_in, spec.kernel, spec.kernel), seed + 1);
         let (oh, ow) = spec.output_hw(h, w);
@@ -1932,16 +1686,27 @@ mod tests {
         let grad_out = random_tensor(Shape::nchw(n, c_out, oh, ow), seed + 2);
         let mut ws = Workspace::default();
 
-        set_conv_engine(ConvEngine::Im2colGemm);
-        let fwd = conv2d_with(&input, &weight, spec, &mut ws).unwrap();
-        let gw = conv2d_backward_weight_with(&input, &grad_out, c_out, spec, &mut ws).unwrap();
-        let gi =
-            conv2d_backward_input_with(&weight, &grad_out, input.shape(), spec, &mut ws).unwrap();
-        set_conv_engine(ConvEngine::Auto);
+        let mut fwd = Tensor::zeros(Shape::nchw(n, c_out, oh, ow));
+        conv2d_gemm_unchecked(&input, &weight, spec, &mut ws, fwd.data_mut());
+        let gw = conv2d_backward_weight_gemm(&input, &grad_out, c_out, spec, &mut ws);
+        let mut gi = Tensor::zeros(input.shape().clone());
+        conv2d_backward_input_gemm(
+            &weight,
+            &grad_out,
+            input.shape(),
+            spec,
+            &mut ws,
+            gi.data_mut(),
+        );
 
-        let fwd_ref = conv2d_direct(&input, &weight, spec).unwrap();
-        let gw_ref = conv2d_backward_weight_direct(&input, &grad_out, c_out, spec).unwrap();
-        let gi_ref = conv2d_backward_input_direct(&weight, &grad_out, input.shape(), spec).unwrap();
+        let oracle = DirectBackend;
+        let fwd_ref = oracle.conv2d(&input, &weight, spec, &mut ws).unwrap();
+        let gw_ref = oracle
+            .conv2d_backward_weight(&input, &grad_out, c_out, spec, &mut ws)
+            .unwrap();
+        let gi_ref = oracle
+            .conv2d_backward_input(&weight, &grad_out, input.shape(), spec, &mut ws)
+            .unwrap();
 
         assert_tensors_close(&fwd, &fwd_ref, 1e-5);
         assert_tensors_close(&gw, &gw_ref, 1e-5);
@@ -1970,13 +1735,23 @@ mod tests {
         let input = random_tensor(Shape::nchw(3, 2, 6, 6), 60);
         let grad_out = random_tensor(Shape::nchw(3, 4, 6, 6), 61);
         let mut ws = Workspace::default();
-        let per_sample =
-            conv2d_backward_weight_per_sample_with(&input, &grad_out, 4, spec, &mut ws).unwrap();
-        assert_eq!(per_sample.shape().dims(), &[3, 4, 2 * 3, 3]);
-        let total = conv2d_backward_weight(&input, &grad_out, 4, spec).unwrap();
-        let p = total.numel();
+        let p = 4 * 2 * 3 * 3;
+        let mut per_sample = vec![f32::NAN; 3 * p];
+        conv2d_backward_weight_per_sample_into(
+            &input,
+            &grad_out,
+            4,
+            spec,
+            &mut ws,
+            &mut per_sample,
+            p,
+            0,
+        )
+        .unwrap();
+        let total = conv2d_backward_weight_with(&input, &grad_out, 4, spec, &mut ws).unwrap();
+        assert_eq!(total.numel(), p);
         for (idx, &t) in total.data().iter().enumerate() {
-            let summed: f32 = (0..3).map(|b| per_sample.data()[b * p + idx]).sum();
+            let summed: f32 = (0..3).map(|b| per_sample[b * p + idx]).sum();
             assert!(
                 (summed - t).abs() < 1e-4 * (1.0 + t.abs()),
                 "param {idx}: per-sample sum {summed} vs batch {t}"
@@ -1997,11 +1772,21 @@ mod tests {
             &input, &grad_out, 2, spec, &mut ws, &mut out, row_stride, offset,
         )
         .unwrap();
-        let reference =
-            conv2d_backward_weight_per_sample_with(&input, &grad_out, 2, spec, &mut ws).unwrap();
+        let mut reference = vec![f32::NAN; 2 * per_sample];
+        conv2d_backward_weight_per_sample_into(
+            &input,
+            &grad_out,
+            2,
+            spec,
+            &mut ws,
+            &mut reference,
+            per_sample,
+            0,
+        )
+        .unwrap();
         for b in 0..2 {
             let got = &out[b * row_stride + offset..b * row_stride + offset + per_sample];
-            let want = &reference.data()[b * per_sample..(b + 1) * per_sample];
+            let want = &reference[b * per_sample..(b + 1) * per_sample];
             assert_eq!(got, want);
         }
         // Bytes outside the strided slices are untouched.
@@ -2105,7 +1890,6 @@ mod tests {
 
     #[test]
     fn packed_backward_is_bitwise_identical_to_solo() {
-        let _guard = ENGINE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Pointwise merge (image doubles as the column matrix).
         assert_packed_backward_matches_solo(
             Shape::nchw(2, 6, 12, 12),
@@ -2134,27 +1918,6 @@ mod tests {
             Conv2dSpec::new(3, 2, 1),
             800,
         );
-    }
-
-    #[test]
-    fn packed_backward_honours_the_engine_pin() {
-        let _guard = ENGINE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for engine in [ConvEngine::Direct, ConvEngine::Im2colGemm] {
-            set_conv_engine(engine);
-            assert_packed_backward_matches_solo(
-                Shape::nchw(2, 6, 12, 12),
-                6,
-                Conv2dSpec::new(1, 1, 0),
-                900,
-            );
-            assert_packed_backward_matches_solo(
-                Shape::nchw(3, 2, 5, 5),
-                4,
-                Conv2dSpec::new(3, 1, 1),
-                1000,
-            );
-        }
-        set_conv_engine(ConvEngine::Auto);
     }
 
     #[test]
@@ -2247,7 +2010,7 @@ mod tests {
     }
 
     proptest! {
-        /// Per-sample weight gradients from the GEMM path match the direct
+        /// Per-sample weight gradients from the GEMM body match the direct
         /// per-sample oracle across random geometries.
         #[test]
         fn per_sample_weight_grads_match_direct_oracle(
@@ -2263,19 +2026,22 @@ mod tests {
             let spec = Conv2dSpec::new(kernel, stride, padding);
             let (oh, ow) = spec.output_hw(h, h);
             if h + 2 * padding >= kernel && oh > 0 && ow > 0 {
-                let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
                 let input = random_tensor(Shape::nchw(n, c_in, h, h), seed);
                 let grad_out = random_tensor(Shape::nchw(n, c_out, oh, ow), seed + 1);
                 let mut ws = Workspace::default();
-                set_conv_engine(ConvEngine::Im2colGemm);
-                let gemm = conv2d_backward_weight_per_sample_with(
-                    &input, &grad_out, c_out, spec, &mut ws,
+                let p = c_out * c_in * kernel * kernel;
+                let shape = Shape::nchw(n, c_out, c_in * kernel, kernel);
+                let mut gemm = Tensor::zeros(shape.clone());
+                per_sample_gemm_unchecked(
+                    &input, &grad_out, c_out, spec, &mut ws, gemm.data_mut(), p, 0,
                 );
-                set_conv_engine(ConvEngine::Auto);
-                let reference =
-                    conv2d_backward_weight_per_sample_direct(&input, &grad_out, c_out, spec)
-                        .unwrap();
-                assert_tensors_close(&gemm.unwrap(), &reference, 1e-5);
+                let mut reference = Tensor::zeros(shape);
+                DirectBackend
+                    .conv2d_backward_weight_per_sample_into(
+                        &input, &grad_out, c_out, spec, &mut ws, reference.data_mut(), p, 0,
+                    )
+                    .unwrap();
+                assert_tensors_close(&gemm, &reference, 1e-5);
             }
         }
 

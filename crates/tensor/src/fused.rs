@@ -25,7 +25,7 @@ use crate::conv::{
 use crate::linalg::{gemm_nn_uncounted, gemm_tn_uncounted};
 use crate::{Conv2dSpec, Result, Shape, Tensor, TensorError, Workspace};
 
-/// [`crate::conv2d`]'s im2col gather with the ReLU epilogue folded in:
+/// The conv forward's im2col gather with the ReLU epilogue folded in:
 /// every element lands as `max(v, 0)`. Structure mirrors `conv::im2col`
 /// (every element of `col` is written).
 #[allow(clippy::too_many_arguments)]
@@ -96,11 +96,11 @@ fn im2col_relu(
 /// im2col gather and the product always runs on the GEMM schedule.
 ///
 /// The output tensor is drawn from the workspace pool (recycle it when
-/// done, like [`crate::conv2d_pooled`]).
+/// done, like [`crate::KernelBackend::conv2d`] outputs).
 ///
 /// # Errors
 ///
-/// Same shape conditions as [`crate::conv2d`].
+/// Same shape conditions as [`crate::KernelBackend::conv2d`].
 pub fn conv2d_relu_gemm(
     pre: &Tensor,
     weight: &Tensor,
@@ -138,9 +138,9 @@ pub fn conv2d_relu_gemm(
 
 /// Fused backward of one `conv(relu(pre), w)` edge: writes each sample's
 /// flattened weight gradient into `matrix[b * row_stride + offset ..]`
-/// (like [`crate::conv2d_backward_weight_per_sample_into`]) and returns the
-/// ReLU-masked input gradient `∂L/∂pre`, all from a single ReLU-fused
-/// im2col lowering per sample.
+/// (like [`crate::KernelBackend::conv2d_backward_weight_per_sample_into`])
+/// and returns the ReLU-masked input gradient `∂L/∂pre`, all from a single
+/// ReLU-fused im2col lowering per sample.
 ///
 /// Per sample, the shared column matrix first feeds the transposed
 /// weight-gradient GEMM, is then overwritten with the column *gradients*
@@ -151,8 +151,8 @@ pub fn conv2d_relu_gemm(
 /// # Errors
 ///
 /// Same shape conditions as
-/// [`crate::conv2d_backward_weight_per_sample_into`], plus a weight/spec
-/// consistency check.
+/// [`crate::KernelBackend::conv2d_backward_weight_per_sample_into`], plus a
+/// weight/spec consistency check.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward_fused(
     pre: &Tensor,
@@ -226,10 +226,7 @@ pub fn conv2d_backward_fused(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        conv2d_backward_input_with, conv2d_backward_weight_per_sample_with, conv2d_with,
-        DeterministicRng,
-    };
+    use crate::{BlockedGemmBackend, DeterministicRng, KernelBackend};
 
     fn random_tensor(shape: Shape, seed: u64) -> Tensor {
         let mut rng = DeterministicRng::new(seed);
@@ -263,7 +260,9 @@ mod tests {
             let weight = random_tensor(Shape::nchw(c_out, c_in, spec.kernel, spec.kernel), 42);
             let mut ws = Workspace::new();
             let fused = conv2d_relu_gemm(&pre, &weight, spec, &mut ws).unwrap();
-            let reference = conv2d_with(&relu(&pre), &weight, spec, &mut ws).unwrap();
+            let reference = BlockedGemmBackend
+                .conv2d(&relu(&pre), &weight, spec, &mut ws)
+                .unwrap();
             assert_eq!(fused.shape().dims(), reference.shape().dims());
             assert_close(fused.data(), reference.data(), 1e-5, "fused forward");
         }
@@ -298,18 +297,29 @@ mod tests {
             .unwrap();
 
             let act = relu(&pre);
-            let expect_w =
-                conv2d_backward_weight_per_sample_with(&act, &grad_out, c_out, spec, &mut ws)
-                    .unwrap();
-            let mut expect_in =
-                conv2d_backward_input_with(&weight, &grad_out, pre.shape(), spec, &mut ws).unwrap();
+            let mut expect_w = vec![0.0f32; n * per_sample];
+            BlockedGemmBackend
+                .conv2d_backward_weight_per_sample_into(
+                    &act,
+                    &grad_out,
+                    c_out,
+                    spec,
+                    &mut ws,
+                    &mut expect_w,
+                    per_sample,
+                    0,
+                )
+                .unwrap();
+            let mut expect_in = BlockedGemmBackend
+                .conv2d_backward_input(&weight, &grad_out, pre.shape(), spec, &mut ws)
+                .unwrap();
             for (g, &x) in expect_in.data_mut().iter_mut().zip(pre.data()) {
                 if x <= 0.0 {
                     *g = 0.0;
                 }
             }
 
-            assert_close(&matrix, expect_w.data(), 1e-5, "fused weight grads");
+            assert_close(&matrix, &expect_w, 1e-5, "fused weight grads");
             assert_close(grad_in.data(), expect_in.data(), 1e-5, "fused input grad");
         }
     }

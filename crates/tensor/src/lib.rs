@@ -10,33 +10,27 @@
 //! The crate is deliberately small and dependency-light; everything is plain
 //! safe Rust operating on contiguous `Vec<f32>` buffers.
 //!
-//! # Convolution engines and workspace reuse
-//!
-//! Convolution has two implementations selected per call (see the `conv`
-//! module docs for the full contract):
-//!
-//! * **direct** naive loops — the correctness oracle, kept for tiny shapes
-//!   and exposed as [`conv2d_direct`] / [`conv2d_backward_weight_direct`] /
-//!   [`conv2d_backward_input_direct`];
-//! * **cache-blocked GEMM** ([`gemm_nn`], [`gemm_nt`], [`gemm_tn`]) over
-//!   each image's column matrix, lowered by im2col or, for the paper's
-//!   stride-1 conv3×3 forward, read in place from a zero-padded image —
-//!   the default for real workloads.
-//!
-//! The `*_with` conv entry points thread a reusable [`Workspace`] scratch
-//! arena through the lowering so repeated forward/backward passes (NTK
-//! repeats, linear-region probes) stop allocating; [`set_conv_engine`] pins
-//! an engine process-wide for benchmarks and equivalence tests.
-//!
 //! # Execution backends
 //!
-//! The network substrate one crate up dispatches every kernel through the
-//! object-safe [`KernelBackend`] trait (see the `backend` module docs): the
-//! naive-loop [`DirectBackend`] oracle, the paper-default
-//! [`BlockedGemmBackend`] (bitwise-identical to the free functions above),
-//! the FMA-tiled rayon-chunked [`SimdBackend`] and the int8 fixed-point
-//! [`Int8Backend`] MCU reference. [`all_backends`] is the conformance-suite
-//! registry; [`paper_default_backend`] is the shared default instance.
+//! Every conv and pool kernel is reached through the object-safe
+//! [`KernelBackend`] trait (see the `backend` module docs); no conv or pool
+//! kernel is a public free function. Three backends ship:
+//!
+//! * [`DirectBackend`] — naive loops, the correctness oracle;
+//! * [`BlockedGemmBackend`] — the paper default: direct loops below a small
+//!   MAC threshold (a pure function of the shape), cache-blocked GEMM
+//!   ([`gemm_nn`], [`gemm_nt`], [`gemm_tn`]) over each image's column
+//!   matrix above it, lowered by im2col or, for the paper's stride-1
+//!   conv3×3 forward, read in place from a zero-padded image;
+//! * [`SimdBackend`] — FMA-tiled and rayon-chunked, tolerance-gated.
+//!
+//! Every kernel threads a reusable [`Workspace`] scratch arena, so repeated
+//! forward/backward passes (NTK repeats, linear-region probes) stop
+//! allocating. [`all_backends`] is the conformance-suite registry;
+//! [`paper_default_backend`] is the shared default instance. The one
+//! exception is the [`fused`] module: the fusing graph compiler's own
+//! conv kernels, whose divergent numerics the compiler folds into its store
+//! identity.
 //!
 //! # Example
 //!
@@ -59,7 +53,6 @@ mod conv;
 mod error;
 pub mod fused;
 mod init;
-mod int8;
 mod linalg;
 pub mod ops;
 mod pool;
@@ -75,25 +68,14 @@ pub use backend::{
     BlockedGemmBackend, DirectBackend, KernelBackend, KernelBackendKind,
     DEFAULT_ARENA_RETENTION_CAP,
 };
-pub use conv::{
-    conv2d, conv2d_backward_input, conv2d_backward_input_direct, conv2d_backward_input_pooled,
-    conv2d_backward_input_with, conv2d_backward_weight, conv2d_backward_weight_direct,
-    conv2d_backward_weight_per_sample_direct, conv2d_backward_weight_per_sample_into,
-    conv2d_backward_weight_per_sample_packed_into, conv2d_backward_weight_per_sample_with,
-    conv2d_backward_weight_with, conv2d_direct, conv2d_forward_packed_pooled, conv2d_pooled,
-    conv2d_with, conv_engine, set_conv_engine, Conv2dSpec, ConvEngine, PackedGradSlot,
-};
+pub use conv::{Conv2dSpec, PackedGradSlot};
 pub use error::TensorError;
 pub use init::{kaiming_normal, kaiming_uniform, xavier_uniform, InitKind};
-pub use int8::Int8Backend;
 pub use linalg::{
     condition_number, gemm_nn, gemm_nt, gemm_tn, gram_nt_f64, sym_eigenvalues,
     sym_eigenvalues_with, EigenOptions, EigenReport,
 };
-pub use pool::{
-    avg_pool2d, avg_pool2d_backward, avg_pool2d_backward_pooled, avg_pool2d_pooled,
-    global_avg_pool, global_avg_pool_backward,
-};
+pub use pool::{global_avg_pool, global_avg_pool_backward};
 pub use rng::{hash_mix, split_mix64, DeterministicRng};
 pub use shape::Shape;
 pub use simd::SimdBackend;

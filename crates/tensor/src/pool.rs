@@ -7,23 +7,15 @@
 use crate::{Result, Shape, Tensor, TensorError, Workspace};
 
 /// Average pooling over `kernel`×`kernel` windows with the given stride and
-/// padding. Padding contributes zeros and *is* counted in the divisor
-/// (count-include-pad), matching the NAS-Bench-201 reference.
+/// padding, the body of [`crate::BlockedGemmBackend`]'s `avg_pool2d`.
+/// Padding contributes zeros and *is* counted in the divisor
+/// (count-include-pad), matching the NAS-Bench-201 reference. The output
+/// tensor is drawn from the workspace recycling pool.
 ///
 /// # Errors
 ///
 /// Returns an error if the input is not rank 4 or `kernel`/`stride` is zero.
-pub fn avg_pool2d(input: &Tensor, kernel: usize, stride: usize, padding: usize) -> Result<Tensor> {
-    avg_pool2d_pooled(input, kernel, stride, padding, &mut Workspace::default())
-}
-
-/// [`avg_pool2d`] drawing the output tensor from the workspace recycling
-/// pool (see [`crate::conv2d_pooled`]); numerically identical.
-///
-/// # Errors
-///
-/// Same conditions as [`avg_pool2d`].
-pub fn avg_pool2d_pooled(
+pub(crate) fn avg_pool2d_pooled(
     input: &Tensor,
     kernel: usize,
     stride: usize,
@@ -91,36 +83,14 @@ pub fn avg_pool2d_pooled(
     Ok(Tensor::from_vec(out_shape, out_buf).expect("length matches shape by construction"))
 }
 
-/// Backward pass of [`avg_pool2d`]: distributes the upstream gradient evenly
-/// over each pooling window.
+/// Backward pass of [`avg_pool2d_pooled`]: distributes the upstream
+/// gradient evenly over each pooling window. The output tensor is drawn
+/// from the workspace recycling pool.
 ///
 /// # Errors
 ///
 /// Returns an error if shapes are inconsistent.
-pub fn avg_pool2d_backward(
-    grad_out: &Tensor,
-    input_shape: &Shape,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-) -> Result<Tensor> {
-    avg_pool2d_backward_pooled(
-        grad_out,
-        input_shape,
-        kernel,
-        stride,
-        padding,
-        &mut Workspace::default(),
-    )
-}
-
-/// [`avg_pool2d_backward`] drawing the output tensor from the workspace
-/// recycling pool; numerically identical.
-///
-/// # Errors
-///
-/// Same conditions as [`avg_pool2d_backward`].
-pub fn avg_pool2d_backward_pooled(
+pub(crate) fn avg_pool2d_backward_pooled(
     grad_out: &Tensor,
     input_shape: &Shape,
     kernel: usize,
@@ -260,6 +230,10 @@ mod tests {
     use super::*;
     use crate::DeterministicRng;
 
+    fn avg_pool2d(input: &Tensor, kernel: usize, stride: usize, padding: usize) -> Result<Tensor> {
+        avg_pool2d_pooled(input, kernel, stride, padding, &mut Workspace::default())
+    }
+
     fn random_tensor(shape: Shape, seed: u64) -> Tensor {
         let mut rng = DeterministicRng::new(seed);
         let data = (0..shape.numel()).map(|_| rng.normal()).collect();
@@ -296,12 +270,13 @@ mod tests {
     #[test]
     fn avg_pool_backward_finite_difference() {
         let mut input = random_tensor(Shape::nchw(1, 1, 4, 4), 6);
-        let grad = avg_pool2d_backward(
+        let grad = avg_pool2d_backward_pooled(
             &Tensor::ones(Shape::nchw(1, 1, 4, 4)),
             &Shape::nchw(1, 1, 4, 4),
             3,
             1,
             1,
+            &mut Workspace::default(),
         )
         .unwrap();
         let eps = 1e-2f32;

@@ -29,11 +29,11 @@
 use crate::backend::{backend_fingerprint, KernelBackend};
 use crate::conv::{
     below_direct_threshold, check_backward_input_args, check_backward_weight_args, check_conv_args,
-    col2im_add, conv2d_backward_input_unchecked, conv2d_backward_weight_unchecked,
-    conv2d_direct_unchecked, im2col,
+    check_per_sample_args, col2im_add, conv2d_backward_input_unchecked,
+    conv2d_backward_weight_unchecked, conv2d_direct_unchecked, im2col,
 };
 use crate::pool::{avg_pool2d_backward_pooled, avg_pool2d_pooled};
-use crate::{Conv2dSpec, Result, Shape, Tensor, TensorError, Workspace};
+use crate::{Conv2dSpec, Result, Shape, Tensor, Workspace};
 use rayon::prelude::*;
 
 /// Samples per parallel work item. Fixed — parallel decomposition must be a
@@ -506,10 +506,8 @@ impl KernelBackend for SimdBackend {
         // The fallback build produces different (non-FMA) values, so it is a
         // different numerical configuration of the same backend family. The
         // tiny-shape dispatch threshold is part of the numerics too (it
-        // decides which shapes run the direct loops), so it is folded in —
-        // and unlike the paper-default backend, this backend deliberately
-        // ignores the process-global `set_conv_engine` pin: its values are a
-        // pure function of inputs and this fingerprint.
+        // decides which shapes run the direct loops), so it is folded in:
+        // the values are a pure function of inputs and this fingerprint.
         backend_fingerprint(
             "simd",
             1,
@@ -684,16 +682,10 @@ impl KernelBackend for SimdBackend {
         row_stride: usize,
         offset: usize,
     ) -> Result<()> {
-        let (n, c_in, h, w, oh, ow) = check_backward_weight_args(input, grad_out, c_out, spec)?;
+        let (n, c_in, h, w, oh, ow) =
+            check_per_sample_args(input, grad_out, c_out, spec, out.len(), row_stride, offset)?;
         let k = spec.kernel;
         let per_sample = c_out * c_in * k * k;
-        if n > 0 && out.len() < (n - 1) * row_stride + offset + per_sample {
-            return Err(TensorError::InvalidArgument(format!(
-                "per-sample gradient output buffer too short: {} < {}",
-                out.len(),
-                (n - 1) * row_stride + offset + per_sample
-            )));
-        }
         // Per-sample dispatch, mirroring the blocked backend: each sample is
         // its own batch-1 problem.
         if below_direct_threshold(1, c_in, c_out, k, oh, ow) {
@@ -902,38 +894,6 @@ mod tests {
         let one = run(1);
         for threads in [2, 3, 8] {
             assert_eq!(one, run(threads), "threads={threads}");
-        }
-    }
-
-    /// The store-identity invariant behind the backend fingerprint: the SIMD
-    /// backend's values must NOT depend on the process-global engine pin —
-    /// a pinned process writing into a shared store would otherwise persist
-    /// values the `simd` fingerprint cannot reproduce.
-    #[test]
-    fn simd_backend_ignores_the_process_global_engine_pin() {
-        use crate::{set_conv_engine, ConvEngine};
-        let _engine_guard = crate::conv::ENGINE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let backend = SimdBackend;
-        let spec = Conv2dSpec::new(3, 1, 1);
-        // One shape above the direct threshold, one below.
-        for (n, c, h) in [(2usize, 8usize, 12usize), (1, 1, 4)] {
-            let input =
-                Tensor::from_vec(Shape::nchw(n, c, h, h), random_vec(n * c * h * h, 11)).unwrap();
-            let weight =
-                Tensor::from_vec(Shape::nchw(c, c, 3, 3), random_vec(c * c * 9, 12)).unwrap();
-            let unpinned = backend
-                .conv2d(&input, &weight, spec, &mut Workspace::default())
-                .unwrap();
-            for engine in [ConvEngine::Direct, ConvEngine::Im2colGemm] {
-                set_conv_engine(engine);
-                let pinned = backend
-                    .conv2d(&input, &weight, spec, &mut Workspace::default())
-                    .unwrap();
-                set_conv_engine(ConvEngine::Auto);
-                assert_eq!(unpinned, pinned, "engine pin {engine:?} leaked into simd");
-            }
         }
     }
 }

@@ -49,14 +49,15 @@
 /// # Example
 ///
 /// ```
-/// use micronas_tensor::{conv2d_with, Conv2dSpec, Shape, Tensor, Workspace};
+/// use micronas_tensor::{BlockedGemmBackend, Conv2dSpec, KernelBackend, Shape, Tensor, Workspace};
 /// # fn main() -> Result<(), micronas_tensor::TensorError> {
 /// let input = Tensor::ones(Shape::nchw(1, 3, 8, 8));
 /// let weight = Tensor::ones(Shape::nchw(4, 3, 3, 3));
+/// let (backend, spec) = (BlockedGemmBackend, Conv2dSpec::new(3, 1, 1));
 /// let mut ws = Workspace::default();
 /// // Repeated calls reuse the same scratch memory.
-/// let a = conv2d_with(&input, &weight, Conv2dSpec::new(3, 1, 1), &mut ws)?;
-/// let b = conv2d_with(&input, &weight, Conv2dSpec::new(3, 1, 1), &mut ws)?;
+/// let a = backend.conv2d(&input, &weight, spec, &mut ws)?;
+/// let b = backend.conv2d(&input, &weight, spec, &mut ws)?;
 /// assert_eq!(a, b);
 /// # Ok(())
 /// # }

@@ -4,17 +4,14 @@
 //! Gates, per backend family:
 //!
 //! * `direct` — trivially the oracle;
-//! * `blocked_gemm` (the paper default) — a **bitwise** gate against the
-//!   dispatching free functions (it must be byte-for-byte the code path the
-//!   pre-backend pipeline ran), plus the float tolerance against the oracle;
+//! * `blocked_gemm` (the paper default) — a **bitwise** gate of the shared
+//!   instrumented instance against the bare backend, plus the float
+//!   tolerance against the oracle;
 //! * `simd` — float tolerance (FMA contracts the multiply-add rounding, so
-//!   bitwise equality is explicitly *not* promised);
-//! * `int8_mcu` — a quantization-noise gate on the forward kernels
-//!   (relative l2 error of per-tensor symmetric int8 arithmetic) and clean
-//!   errors from every gradient kernel.
+//!   bitwise equality is explicitly *not* promised).
 
 use micronas_tensor::{
-    all_backends, conv2d_pooled, paper_default_backend, Conv2dSpec, DeterministicRng,
+    all_backends, paper_default_backend, BlockedGemmBackend, Conv2dSpec, DeterministicRng,
     KernelBackend, Shape, Tensor, Workspace,
 };
 use proptest::prelude::*;
@@ -26,14 +23,12 @@ fn random_tensor(shape: Shape, seed: u64) -> Tensor {
     Tensor::from_vec(shape, data).unwrap()
 }
 
-/// Float tolerance of one backend against the direct oracle; `None` means
-/// the backend is gated by the quantization-noise check instead.
-fn float_tolerance(id: &str) -> Option<f32> {
+/// Float tolerance of one backend against the direct oracle.
+fn float_tolerance(id: &str) -> f32 {
     match id {
-        "direct" => Some(0.0),
-        "blocked_gemm" => Some(1e-5),
-        "simd" => Some(1e-4),
-        "int8_mcu" => None,
+        "direct" => 0.0,
+        "blocked_gemm" => 1e-5,
+        "simd" => 1e-4,
         other => panic!("unregistered backend {other} — add a tolerance gate"),
     }
 }
@@ -45,23 +40,6 @@ fn assert_close(got: &Tensor, want: &Tensor, tol: f32, what: &str) {
             (g - w).abs() <= tol * (1.0 + w.abs()),
             "{what}: {g} vs oracle {w}"
         );
-    }
-}
-
-/// Relative l2 error, the quantization-noise gate for the int8 backend.
-fn rel_l2(got: &Tensor, want: &Tensor) -> f32 {
-    let err: f32 = got
-        .data()
-        .iter()
-        .zip(want.data())
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum::<f32>()
-        .sqrt();
-    let norm: f32 = want.data().iter().map(|v| v * v).sum::<f32>().sqrt();
-    if norm == 0.0 {
-        0.0
-    } else {
-        err / norm
     }
 }
 
@@ -88,55 +66,22 @@ fn check_backend(
     let mut ws = Workspace::default();
     let mut ows = Workspace::default();
 
+    let tol = float_tolerance(backend.id());
+
     // Forward.
     let fwd = backend.conv2d(&input, &weight, spec, &mut ws).unwrap();
     let fwd_ref = oracle.conv2d(&input, &weight, spec, &mut ows).unwrap();
-    match float_tolerance(backend.id()) {
-        Some(tol) => assert_close(&fwd, &fwd_ref, tol, &format!("{} conv2d", backend.id())),
-        None => {
-            let e = rel_l2(&fwd, &fwd_ref);
-            assert!(
-                e < 0.08,
-                "{}: forward quantization error {e} out of band",
-                backend.id()
-            );
-        }
-    }
+    assert_close(&fwd, &fwd_ref, tol, &format!("{} conv2d", backend.id()));
 
-    // Pooling (forward for everyone; backward only for gradient backends).
+    // Pooling.
     let pooled = backend.avg_pool2d(&input, 3, 1, 1, &mut ws).unwrap();
     let pooled_ref = oracle.avg_pool2d(&input, 3, 1, 1, &mut ows).unwrap();
-    // Pooling is never quantized (uniform scaling commutes with averaging),
-    // so even the int8 backend meets the float gate here.
-    let pool_tol = float_tolerance(backend.id()).unwrap_or(1e-5);
     assert_close(
         &pooled,
         &pooled_ref,
-        pool_tol,
+        tol,
         &format!("{} avg_pool2d", backend.id()),
     );
-
-    if !backend.supports_gradients() {
-        // Inference-only: every gradient kernel errors cleanly.
-        assert!(backend
-            .conv2d_backward_weight(&input, &grad_out, c_out, spec, &mut ws)
-            .is_err());
-        assert!(backend
-            .conv2d_backward_input(&weight, &grad_out, input.shape(), spec, &mut ws)
-            .is_err());
-        let p = c_out * c_in * spec.kernel * spec.kernel;
-        let mut out = vec![0.0f32; n * p];
-        assert!(backend
-            .conv2d_backward_weight_per_sample_into(
-                &input, &grad_out, c_out, spec, &mut ws, &mut out, p, 0
-            )
-            .is_err());
-        assert!(backend
-            .avg_pool2d_backward(&pooled_ref, input.shape(), 3, 1, 1, &mut ws)
-            .is_err());
-        return;
-    }
-    let tol = float_tolerance(backend.id()).expect("gradient backends have a float gate");
 
     // Backward weight (summed).
     let gw = backend
@@ -278,9 +223,10 @@ fn every_backend_packed_forward_is_bitwise_its_own_solo_path() {
 }
 
 #[test]
-fn paper_default_backend_is_bitwise_identical_to_the_free_functions() {
-    // The pin behind every store namespace decision: the default backend IS
-    // the dispatching free-function path, byte for byte.
+fn paper_default_backend_is_bitwise_the_bare_blocked_gemm_backend() {
+    // The pin behind every store namespace decision: the shared default
+    // instance (instrumented for telemetry) IS the blocked-GEMM kernel set,
+    // byte for byte.
     let backend = paper_default_backend();
     assert!(backend.bitwise_paper_identical());
     for (n, c_in, c_out, h, spec, seed) in [
@@ -299,10 +245,12 @@ fn paper_default_backend_is_bitwise_identical_to_the_free_functions() {
         let weight = random_tensor(Shape::nchw(c_out, c_in, spec.kernel, spec.kernel), seed + 1);
         let mut ws = Workspace::default();
         let via_backend = backend.conv2d(&input, &weight, spec, &mut ws).unwrap();
-        let via_free = conv2d_pooled(&input, &weight, spec, &mut Workspace::default()).unwrap();
+        let bare = BlockedGemmBackend
+            .conv2d(&input, &weight, spec, &mut Workspace::default())
+            .unwrap();
         assert_eq!(
             via_backend.data(),
-            via_free.data(),
+            bare.data(),
             "paper-default backend must be bitwise-identical"
         );
     }
@@ -317,31 +265,14 @@ fn gemm_and_gram_match_the_oracle() {
     let bt = random_tensor(Shape::d2(n, k), 3);
     let at = random_tensor(Shape::d2(k, m), 4);
     for backend in all_backends() {
-        let quantized = float_tolerance(backend.id()).is_none();
-        let tol = float_tolerance(backend.id()).unwrap_or(0.0);
+        let tol = float_tolerance(backend.id());
         let check = |got: &[f32], want: &[f32], what: &str| {
-            if quantized {
-                let err: f32 = got
-                    .iter()
-                    .zip(want)
-                    .map(|(x, y)| (x - y) * (x - y))
-                    .sum::<f32>()
-                    .sqrt();
-                let norm: f32 = want.iter().map(|v| v * v).sum::<f32>().sqrt();
+            for (x, y) in got.iter().zip(want) {
                 assert!(
-                    err / norm < 0.08,
-                    "{}: {what} error {}",
-                    backend.id(),
-                    err / norm
+                    (x - y).abs() <= tol * (1.0 + y.abs()),
+                    "{}: {what} {x} vs {y}",
+                    backend.id()
                 );
-            } else {
-                for (x, y) in got.iter().zip(want) {
-                    assert!(
-                        (x - y).abs() <= tol * (1.0 + y.abs()),
-                        "{}: {what} {x} vs {y}",
-                        backend.id()
-                    );
-                }
             }
         };
         let mut got = vec![0.0f32; m * n];
@@ -362,8 +293,7 @@ fn gemm_and_gram_match_the_oracle() {
         oracle.gemm_tn(m, k, n, at.data(), b.data(), &mut want, false);
         check(&got, &want, "gemm_tn");
 
-        // Gram: f64 accumulated, so even quantized backends (which delegate)
-        // meet a tight gate.
+        // Gram: f64 accumulated, so every backend meets a tight gate.
         let j = random_tensor(Shape::d2(6, 150), 5);
         let mut gram = vec![0.0f64; 36];
         let mut gram_ref = vec![0.0f64; 36];

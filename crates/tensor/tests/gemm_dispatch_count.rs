@@ -7,9 +7,8 @@
 
 use micronas_telemetry::{install_scoped, Collector};
 use micronas_tensor::{
-    conv2d_backward_input_pooled, conv2d_backward_weight_per_sample_into,
-    conv2d_backward_weight_per_sample_packed_into, conv2d_backward_weight_with, conv2d_pooled,
-    Conv2dSpec, DeterministicRng, PackedGradSlot, Shape, Tensor, Workspace,
+    BlockedGemmBackend, Conv2dSpec, DeterministicRng, KernelBackend, PackedGradSlot, Shape, Tensor,
+    Workspace,
 };
 use std::sync::Arc;
 
@@ -35,6 +34,7 @@ fn every_conv_gemm_kernel_counts_one_call_at_batch_seven() {
     // Both geometries sit above the direct-kernel threshold per sample, so
     // every kernel takes its GEMM path; the 1×1 conv multiplies the image
     // itself and the 3×3 conv lowers it.
+    let backend = BlockedGemmBackend;
     for spec in [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(1, 1, 0)] {
         let k = spec.kernel;
         let input = random_tensor(Shape::nchw(n, c, hw, hw), 1);
@@ -44,21 +44,24 @@ fn every_conv_gemm_kernel_counts_one_call_at_batch_seven() {
         let per_sample = c * c * k * k;
 
         let forward = gemm_calls(|ws| {
-            conv2d_pooled(&input, &weight, spec, ws).unwrap();
+            backend.conv2d(&input, &weight, spec, ws).unwrap();
         });
         assert_eq!(forward, 1, "conv2d forward, kernel {k}");
 
         let summed = gemm_calls(|ws| {
-            conv2d_backward_weight_with(&input, &grad_out, c, spec, ws).unwrap();
+            backend
+                .conv2d_backward_weight(&input, &grad_out, c, spec, ws)
+                .unwrap();
         });
         assert_eq!(summed, 1, "summed weight gradient, kernel {k}");
 
         let per_sample_calls = gemm_calls(|ws| {
             let mut out = vec![0.0; n * per_sample];
-            conv2d_backward_weight_per_sample_into(
-                &input, &grad_out, c, spec, ws, &mut out, per_sample, 0,
-            )
-            .unwrap();
+            backend
+                .conv2d_backward_weight_per_sample_into(
+                    &input, &grad_out, c, spec, ws, &mut out, per_sample, 0,
+                )
+                .unwrap();
         });
         assert_eq!(
             per_sample_calls, 1,
@@ -78,10 +81,11 @@ fn every_conv_gemm_kernel_counts_one_call_at_batch_seven() {
                     })
                     .collect();
                 let grads = vec![&grad_out; width];
-                conv2d_backward_weight_per_sample_packed_into(
-                    &inputs, &grads, c, spec, ws, &mut slots,
-                )
-                .unwrap();
+                backend
+                    .conv2d_backward_weight_per_sample_packed(
+                        &inputs, &grads, c, spec, ws, &mut slots,
+                    )
+                    .unwrap();
             });
             assert_eq!(
                 packed, 1,
@@ -90,7 +94,9 @@ fn every_conv_gemm_kernel_counts_one_call_at_batch_seven() {
         }
 
         let input_grad = gemm_calls(|ws| {
-            conv2d_backward_input_pooled(&weight, &grad_out, input.shape(), spec, ws).unwrap();
+            backend
+                .conv2d_backward_input(&weight, &grad_out, input.shape(), spec, ws)
+                .unwrap();
         });
         assert_eq!(input_grad, 1, "input gradient, kernel {k}");
     }

@@ -13,8 +13,7 @@
 
 use micronas_telemetry::{install_scoped, Collector};
 use micronas_tensor::{
-    conv2d_forward_packed_pooled, conv2d_pooled, Conv2dSpec, DeterministicRng, Shape, Tensor,
-    Workspace,
+    BlockedGemmBackend, Conv2dSpec, DeterministicRng, KernelBackend, Shape, Tensor, Workspace,
 };
 use std::sync::Arc;
 
@@ -33,12 +32,15 @@ fn packed_forward_stages_one_image_of_the_paper_ntk_bucket() {
         .map(|p| random_tensor(Shape::nchw(n, c, hw, hw), 10 + p as u64))
         .collect();
     let refs: Vec<&Tensor> = inputs.iter().collect();
+    let backend = BlockedGemmBackend;
 
     let collector = Arc::new(Collector::new());
     let mut ws = Workspace::new();
     let outs = {
         let _scope = install_scoped(collector.clone());
-        conv2d_forward_packed_pooled(&refs, &weight, spec, &mut ws).expect("packed conv")
+        backend
+            .conv2d_forward_packed(&refs, &weight, spec, &mut ws)
+            .expect("packed conv")
     };
     let report = collector.report();
     assert_eq!(
@@ -69,7 +71,9 @@ fn packed_forward_stages_one_image_of_the_paper_ntk_bucket() {
     );
 
     for (input, got) in inputs.iter().zip(&outs) {
-        let want = conv2d_pooled(input, &weight, spec, &mut Workspace::new()).unwrap();
+        let want = backend
+            .conv2d(input, &weight, spec, &mut Workspace::new())
+            .unwrap();
         assert_eq!(got, &want, "packed forward must be bitwise solo");
     }
 
@@ -78,7 +82,9 @@ fn packed_forward_stages_one_image_of_the_paper_ntk_bucket() {
     let lone = Arc::new(Collector::new());
     let out = {
         let _scope = install_scoped(lone.clone());
-        conv2d_forward_packed_pooled(&refs[..1], &weight, spec, &mut ws).expect("packed conv")
+        backend
+            .conv2d_forward_packed(&refs[..1], &weight, spec, &mut ws)
+            .expect("packed conv")
     };
     assert_eq!(lone.report().counter("tensor.gemm.calls"), 1);
     assert_eq!(
@@ -95,7 +101,9 @@ fn packed_forward_stages_one_image_of_the_paper_ntk_bucket() {
     let strided = Arc::new(Collector::new());
     {
         let _scope = install_scoped(strided.clone());
-        conv2d_forward_packed_pooled(&refs[..2], &weight, down, &mut ws).expect("packed conv");
+        backend
+            .conv2d_forward_packed(&refs[..2], &weight, down, &mut ws)
+            .expect("packed conv");
     }
     let (oh, ow) = down.output_hw(hw, hw);
     let lowered = (2 * n * c * k * k * oh * ow * 4) as u64;

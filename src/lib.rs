@@ -61,41 +61,29 @@
 //! Every kernel the proxy networks run — convolution forward/backward,
 //! per-sample weight gradients, pooling, the linear-layer GEMMs and the NTK
 //! Gram build — dispatches through the object-safe
-//! [`tensor::KernelBackend`] trait. Four backends ship
-//! ([`tensor::all_backends`] is the conformance-suite registry):
+//! [`tensor::KernelBackend`] trait, the only public way to run a conv or
+//! pool kernel. Three backends ship ([`tensor::all_backends`] is the
+//! conformance-suite registry):
 //!
 //! | backend (`id`) | what it is | numerics |
 //! |----------------|------------|----------|
 //! | [`tensor::DirectBackend`] (`"direct"`) | naive-loop oracle | reference |
 //! | [`tensor::BlockedGemmBackend`] (`"blocked_gemm"`) | im2col + cache-blocked GEMM, the **paper default** | bitwise-identical to the pre-backend pipeline |
 //! | [`tensor::SimdBackend`] (`"simd"`) | hand-tiled AVX2+FMA micro-kernels, fixed-size rayon batch chunking | FMA-contracted; tolerance-gated, bitwise-deterministic at any thread count |
-//! | [`tensor::Int8Backend`] (`"int8_mcu"`) | int8 fixed-point inference consistent with the `micronas-mcu` cycle model | quantized, forward-only |
 //!
 //! Selection threads through every layer: `MicroNasConfig::with_backend`
 //! and `SearchSession::builder().backend(..)` pick a
 //! [`tensor::KernelBackendKind`] for a whole search;
 //! `CellNetwork::with_backend`, `NtkEvaluator::with_backend` and
 //! `LinearRegionEvaluator::with_backend` pin individual networks and
-//! evaluators (the int8 backend runs the forward-only linear-region probe —
-//! the deployment-accuracy scenario). **Store identity:** a backend that is
+//! evaluators. No process-global setting changes which kernel runs: the
+//! paper default's direct-vs-GEMM choice is a pure function of the shape.
+//! **Store identity:** a backend that is
 //! not bitwise-identical to the paper default folds its `(id, fingerprint)`
 //! into `MicroNasConfig::store_namespace`, so persisted logs written under
 //! different numerics *refuse to open* instead of serving values the
 //! backend cannot reproduce; the default backend folds nothing and every
 //! pre-backend log keeps resolving.
-//!
-//! ## Migrating from `ConvEngine`
-//!
-//! The two-variant `ConvEngine` enum still exists for what it was actually
-//! good at — pinning the direct-vs-GEMM dispatch *within* the paper-default
-//! path for benchmarks and equivalence tests (`set_conv_engine`). Everything
-//! that used it as a proto-backend seam should move to the trait:
-//!
-//! | Before | After |
-//! |--------|-------|
-//! | `set_conv_engine(ConvEngine::Im2colGemm)` process-wide to choose an implementation | construct with a backend: `CellNetwork::with_backend(.., KernelBackendKind::Simd.instantiate())` |
-//! | "future GPU / NPU / fixed-point backend" via new `ConvEngine` variants | implement [`tensor::KernelBackend`] out of tree; no enum to extend |
-//! | implicit assumption that all engines share one store namespace | declare numerics via `bitwise_paper_identical()`; divergent backends are namespace-isolated automatically |
 //!
 //! # Cross-candidate mega-batching (PR 6 forward, PR 10 backward + slates)
 //!

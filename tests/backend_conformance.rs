@@ -4,12 +4,8 @@
 //!
 //! * the paper-default backend is **bitwise-identical** to the pre-backend
 //!   pipeline at the network and proxy level;
-//! * gradient-capable backends reproduce the direct oracle's per-sample
-//!   gradient matrix within their tolerance;
-//! * the int8 backend runs forward-only proxies (the deployment-accuracy
-//!   scenario) and errors cleanly out of gradient-based ones;
-//! * the int8 backend's work accounting agrees with the `micronas-mcu`
-//!   cycle model;
+//! * every backend reproduces the direct oracle's per-sample gradient
+//!   matrix within its tolerance;
 //! * numerically divergent backends land in their own store namespace, so a
 //!   default-numerics store is refused instead of being poisoned;
 //! * the SIMD backend's batch chunking is bitwise-deterministic at any
@@ -17,14 +13,13 @@
 
 use micronas_suite::core::MicroNasConfig;
 use micronas_suite::datasets::DatasetKind;
-use micronas_suite::mcu::{CycleModel, McuSpec};
 use micronas_suite::nn::{CellNetwork, ProxyNetworkConfig};
-use micronas_suite::proxies::{LinearRegionConfig, LinearRegionEvaluator, NtkConfig, NtkEvaluator};
-use micronas_suite::searchspace::{LayerRole, OpClass, OpInstance, Operation, SearchSpace};
+use micronas_suite::proxies::{LinearRegionConfig, NtkConfig, NtkEvaluator};
+use micronas_suite::searchspace::{Operation, SearchSpace};
 use micronas_suite::store::EvalStore;
 use micronas_suite::tensor::{
-    all_backends, paper_default_backend, DeterministicRng, Int8Backend, KernelBackend,
-    KernelBackendKind, Shape, Tensor, Workspace,
+    all_backends, paper_default_backend, DeterministicRng, KernelBackendKind, Shape, Tensor,
+    Workspace,
 };
 use std::sync::Arc;
 
@@ -93,15 +88,9 @@ fn every_backend_reproduces_the_oracle_network_forward() {
                 let got = net.forward(&batch).unwrap().logits;
                 let want = oracle.forward(&batch).unwrap().logits;
                 let err = rel_l2(got.data(), want.data());
-                let gate = match backend.id() {
-                    // Two stacked cells of per-tensor int8 arithmetic; the
-                    // quantization noise compounds per layer.
-                    "int8_mcu" => 0.25,
-                    _ => 1e-3,
-                };
                 assert!(
-                    err <= gate,
-                    "backend {} cell {c_idx} n={n}: forward error {err} over gate {gate}",
+                    err <= 1e-3,
+                    "backend {} cell {c_idx} n={n}: forward error {err}",
                     backend.id()
                 );
             }
@@ -122,9 +111,6 @@ fn gradient_backends_reproduce_the_oracle_gradient_matrix() {
         )
         .unwrap();
         for backend in all_backends() {
-            if !backend.supports_gradients() {
-                continue;
-            }
             let net = CellNetwork::with_backend(&cell, &config, seed, backend.clone()).unwrap();
             for n in [1usize, 3, 7] {
                 let batch = random_batch(&config, n, 200 + n as u64);
@@ -176,86 +162,6 @@ fn paper_default_backend_is_bitwise_identical_at_network_and_proxy_level() {
 }
 
 #[test]
-fn int8_backend_runs_forward_only_proxies_and_rejects_gradient_proxies() {
-    let space = SearchSpace::nas_bench_201();
-    let cell = space.cell(4_242).unwrap();
-    let int8 = KernelBackendKind::Int8Mcu.instantiate();
-
-    // Deployment-accuracy scenario: the expressivity probe under 8-bit
-    // arithmetic runs end-to-end and stays in the float probe's ballpark.
-    let float_lr = LinearRegionEvaluator::new(LinearRegionConfig::fast());
-    let int8_lr = LinearRegionEvaluator::new(LinearRegionConfig::fast()).with_backend(int8.clone());
-    let float_report = float_lr.evaluate(cell, DatasetKind::Cifar10, 3).unwrap();
-    let int8_report = int8_lr.evaluate(cell, DatasetKind::Cifar10, 3).unwrap();
-    assert!(int8_report.regions >= 1);
-    let ratio = int8_report.regions as f64 / float_report.regions.max(1) as f64;
-    assert!(
-        (0.5..=2.0).contains(&ratio),
-        "int8 expressivity ({}) should track the float probe ({})",
-        int8_report.regions,
-        float_report.regions
-    );
-
-    // The NTK proxy needs gradients: a clean error, not a wrong number.
-    let ntk = NtkEvaluator::new(NtkConfig::fast()).with_backend(int8);
-    let err = ntk.evaluate(cell, DatasetKind::Cifar10, 3).unwrap_err();
-    assert!(
-        err.to_string().contains("inference-only"),
-        "NTK under int8 must explain itself: {err}"
-    );
-}
-
-#[test]
-fn int8_mac_accounting_matches_the_mcu_cycle_model() {
-    // One conv layer, once through the int8 backend, once through the
-    // analytic cycle model: the MAC counts must agree exactly — profiled
-    // int8 inference and the latency estimate describe the same computation.
-    let backend = Int8Backend::new();
-    let (c, r, k) = (8usize, 16usize, 3usize);
-    let mut rng = DeterministicRng::new(9);
-    let input = Tensor::from_vec(
-        Shape::nchw(1, c, r, r),
-        (0..c * r * r).map(|_| rng.normal()).collect(),
-    )
-    .unwrap();
-    let weight = Tensor::from_vec(
-        Shape::nchw(c, c, k, k),
-        (0..c * c * k * k).map(|_| rng.normal()).collect(),
-    )
-    .unwrap();
-    backend
-        .conv2d(
-            &input,
-            &weight,
-            micronas_suite::tensor::Conv2dSpec::new(k, 1, 1),
-            &mut Workspace::default(),
-        )
-        .unwrap();
-
-    let model = CycleModel::new(McuSpec::stm32f746zg());
-    let op = OpInstance {
-        role: LayerRole::Cell {
-            stage: 0,
-            cell: 0,
-            edge: 0,
-        },
-        class: OpClass::Conv,
-        cell_op: Some(Operation::NorConv3x3),
-        kernel: k,
-        stride: 1,
-        c_in: c,
-        c_out: c,
-        h_in: r,
-        w_in: r,
-    };
-    assert_eq!(
-        backend.macs_performed(),
-        model.macs(&op),
-        "int8 backend and cycle model must count the same MACs"
-    );
-}
-
-#[test]
 fn divergent_backends_get_their_own_store_namespace() {
     let default_cfg = MicroNasConfig::tiny_test();
     let simd_cfg = MicroNasConfig::tiny_test().with_backend(KernelBackendKind::Simd);
@@ -296,7 +202,7 @@ fn packed_proxy_evaluation_is_bitwise_identical_on_every_bitwise_backend() {
     use rayon::ThreadPoolBuilder;
     let cells = conformance_cells();
     for backend in all_backends() {
-        if !backend.bitwise_paper_identical() || !backend.supports_gradients() {
+        if !backend.bitwise_paper_identical() {
             continue;
         }
         let evaluator = ZeroCostEvaluator::with_backend(
@@ -336,7 +242,7 @@ fn packed_proxy_evaluation_is_bitwise_identical_on_every_bitwise_backend() {
 }
 
 /// The packed per-sample gradient sweep is bitwise-invisible on **every**
-/// gradient-capable backend — including numerically divergent ones, where
+/// backend — including numerically divergent ones, where
 /// the contract is identity to that backend's own solo sweep, not to the
 /// paper numerics. NTK reports of packs of width 1/2/8 must equal per-cell
 /// solo evaluation, on a 1-thread and an N-thread rayon pool alike.
@@ -345,9 +251,6 @@ fn packed_backward_sweep_is_bitwise_identical_on_every_gradient_backend() {
     use rayon::ThreadPoolBuilder;
     let cells = conformance_cells();
     for backend in all_backends() {
-        if !backend.supports_gradients() {
-            continue;
-        }
         let evaluator = NtkEvaluator::new(NtkConfig::fast()).with_backend(backend.clone());
         for width in [1usize, 2, 8] {
             for threads in [1usize, 4] {

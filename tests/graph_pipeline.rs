@@ -4,7 +4,7 @@
 //! * the **interpreter** compiler replays the eager kernel schedule node by
 //!   node, so its forward logits, pre-ReLU activations and per-sample
 //!   gradient matrices are **bitwise identical** to the eager path — on
-//!   every gradient-capable backend, across random cells and batch sizes;
+//!   every backend, across random cells and batch sizes;
 //! * the **fusing** compiler rewrites the schedule (DCE, conv→ReLU fusion,
 //!   backward-pair fusion), so it is gated against the eager oracle within
 //!   tolerance instead;
@@ -80,18 +80,15 @@ fn property_cells() -> Vec<CellTopology> {
 }
 
 /// The interpreter must be bitwise-identical to the eager path under every
-/// gradient-capable backend — not just the paper-default one: it replays
-/// the same kernel entry points in the same order, so whatever numerics the
-/// backend produces, eager and interpreted runs produce the *same* ones.
+/// backend — not just the paper-default one: it replays the same kernel
+/// entry points in the same order, so whatever numerics the backend
+/// produces, eager and interpreted runs produce the *same* ones.
 #[test]
 fn interpreter_is_bitwise_identical_to_eager_on_every_gradient_backend() {
     let config = tiny_config();
     for (c_idx, cell) in property_cells().into_iter().enumerate() {
         let seed = 17 + c_idx as u64;
         for backend in all_backends() {
-            if !backend.supports_gradients() {
-                continue;
-            }
             let eager = CellNetwork::with_backend(&cell, &config, seed, backend.clone()).unwrap();
             let graphed = CellNetwork::with_backend(&cell, &config, seed, backend.clone())
                 .unwrap()
