@@ -20,8 +20,11 @@
 //! comparison on the conv-heavy cell and **fails** (panics) if the packed
 //! path regresses below one-at-a-time evaluation — the CI guards against the
 //! pack path silently degenerating into a loop of solo evaluations plus
-//! overhead. Criterion's own `--test` flag still runs every benchmark body
-//! once without timing.
+//! overhead. Beside the timer it counts work exactly: under a telemetry
+//! `Collector`, one packed round must make strictly fewer GEMM dispatches
+//! (`tensor.gemm.calls`) and multiply strictly fewer column bytes
+//! (`tensor.im2col.bytes`) than one solo round. Criterion's own `--test`
+//! flag still runs every benchmark body once without timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use micronas::{
@@ -33,7 +36,9 @@ use micronas_bench::{
 use micronas_datasets::DatasetKind;
 use micronas_proxies::ZeroCostEvaluator;
 use micronas_searchspace::{CellTopology, Operation, SearchSpace};
+use micronas_telemetry::Collector;
 use rayon::ThreadPoolBuilder;
+use std::sync::Arc;
 use std::time::Instant;
 
 const BUDGET: usize = 16;
@@ -108,6 +113,41 @@ fn packed_vs_unpacked(config: &MicroNasConfig, cell: CellTopology, rounds: usize
         packed = packed.min(start.elapsed().as_secs_f64());
     }
     (solo, packed)
+}
+
+/// `(tensor.gemm.calls, tensor.im2col.bytes)` of one solo round of `PACK`
+/// evaluations and of one packed sweep over the same cells, each counted
+/// under its own `Collector`.
+fn packed_vs_unpacked_work(config: &MicroNasConfig, cell: CellTopology) -> [(u64, u64); 2] {
+    let zero_cost = ZeroCostEvaluator::with_backend(
+        config.ntk,
+        config.linear_regions,
+        config.backend.instantiate(),
+    );
+    let traced = |round: &dyn Fn()| {
+        let collector = Arc::new(Collector::new());
+        let scope = micronas_telemetry::install_scoped(collector.clone());
+        round();
+        drop(scope);
+        let report = collector.report();
+        (
+            report.counter("tensor.gemm.calls"),
+            report.counter("tensor.im2col.bytes"),
+        )
+    };
+    let solo = traced(&|| {
+        for _ in 0..PACK {
+            zero_cost
+                .evaluate(cell, DatasetKind::Cifar10, 0)
+                .expect("solo");
+        }
+    });
+    let packed = traced(&|| {
+        zero_cost
+            .evaluate_pack(&[cell; PACK], DatasetKind::Cifar10, 0)
+            .expect("packed");
+    });
+    [solo, packed]
 }
 
 /// Whether `MICRONAS_BENCH_SMOKE=1` smoke mode is active.
@@ -229,6 +269,20 @@ fn bench_candidate_throughput(c: &mut Criterion) {
             packed <= solo * 1.25,
             "packed evaluation ({packed:.4}s) regressed below one-at-a-time \
              evaluation ({solo:.4}s) on the conv-heavy cell"
+        );
+
+        // Exact counter gate: no timing noise, so no tolerance.
+        let [(solo_gemm, solo_bytes), (packed_gemm, packed_bytes)] =
+            packed_vs_unpacked_work(&config, conv_heavy_cell());
+        println!(
+            "gate: gemm calls {solo_gemm} -> {packed_gemm}, \
+             im2col bytes {solo_bytes} -> {packed_bytes} (one round of {PACK})"
+        );
+        assert!(
+            packed_gemm < solo_gemm && packed_bytes < solo_bytes,
+            "packed evaluation did no less work than one-at-a-time evaluation: \
+             gemm calls {packed_gemm} vs {solo_gemm}, im2col bytes \
+             {packed_bytes} vs {solo_bytes}"
         );
         return;
     }

@@ -1,8 +1,8 @@
 //! End-to-end NTK evaluation benchmarks.
 //!
-//! Three comparisons, all on the paper-default NTK configuration (batch 32,
+//! Two comparisons, both on the paper-default NTK configuration (batch 32,
 //! 16×16 proxy networks, two cells), each through
-//! `NtkEvaluator::with_backend` / `with_compiler`:
+//! `NtkEvaluator::with_backend`:
 //!
 //! 1. **direct vs blocked-GEMM execution backend** — the kernel acceptance:
 //!    the naive-loop oracle against the paper-default backend;
@@ -13,24 +13,18 @@
 //!    point where shared non-kernel work dominates) and the all-conv3×3
 //!    cell, the kernel-dominated end of the space where a *kernel* backend
 //!    comparison is meaningful. The regression gate rides on the conv cell.
-//! 3. **eager vs fused kernel-graph execution** — the graph-pipeline
-//!    acceptance: the `fusing` compiler (DCE + conv→ReLU + backward-pair
-//!    fusion over a cached compiled plan) against the eager call tree, both
-//!    on the paper-default blocked-GEMM backend, on the sparse
-//!    [`BENCH_CELL`] where dead edges and scheduling overhead dominate.
 //!
 //! Headline numbers land in `target/bench-json/ntk_engine.json`.
 //!
 //! # Smoke mode
 //!
-//! `MICRONAS_BENCH_SMOKE=1` runs reduced-iteration versions of the
-//! blocked-vs-SIMD and eager-vs-fused comparisons and **fails** (panics) if
-//! the SIMD backend regresses below the blocked-GEMM backend on the
-//! conv-heavy cell or the fusing compiler regresses below the eager path on
-//! the sparse cell — the CI guards against a silent fallback onto a slow
-//! route. That telemetry's disabled path stays free is proved by counting
-//! hook calls (`tests/telemetry_inertness.rs`), not timed here. Criterion's
-//! own `--test` flag still runs every benchmark body once without timing.
+//! `MICRONAS_BENCH_SMOKE=1` runs a reduced-iteration version of the
+//! blocked-vs-SIMD comparison and **fails** (panics) if the SIMD backend
+//! regresses below the blocked-GEMM backend on the conv-heavy cell — the
+//! CI guard against a silent fallback onto a slow route. That telemetry's
+//! disabled path stays free is proved by counting hook calls
+//! (`tests/telemetry_inertness.rs`), not timed here. Criterion's own
+//! `--test` flag still runs every benchmark body once without timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use micronas::{MicroNasConfig, MicroNasSearch, SearchSession};
@@ -75,20 +69,6 @@ fn backend_seconds(kind: KernelBackendKind, cell: CellTopology, runs: usize, rou
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Paper-default NTK evaluation seconds through a compiled kernel-graph
-/// plan (paper-default blocked-GEMM backend), best-of-`rounds`.
-fn compiler_seconds(
-    kind: micronas_graph::CompilerKind,
-    cell: CellTopology,
-    runs: usize,
-    rounds: usize,
-) -> f64 {
-    let evaluator = NtkEvaluator::new(NtkConfig::paper_default()).with_compiler(kind.instantiate());
-    (0..rounds)
-        .map(|_| timed_seconds(&evaluator, cell, runs))
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// Whether `MICRONAS_BENCH_SMOKE=1` smoke mode is active.
 fn smoke_mode() -> bool {
     std::env::var("MICRONAS_BENCH_SMOKE")
@@ -110,11 +90,6 @@ fn compare_and_record(runs: usize) {
     let simd_conv = backend_seconds(KernelBackendKind::Simd, conv_cell, runs.min(3), 3);
     let blocked_sparse = backend_seconds(KernelBackendKind::BlockedGemm, sparse_cell, runs, 3);
     let simd_sparse = backend_seconds(KernelBackendKind::Simd, sparse_cell, runs, 3);
-
-    // Graph-pipeline comparison: eager call tree vs the fusing compiler's
-    // cached plan, both on the paper-default backend, on the sparse cell.
-    let eager_sparse = backend_seconds(KernelBackendKind::BlockedGemm, sparse_cell, runs, 3);
-    let fused_sparse = compiler_seconds(micronas_graph::CompilerKind::Fusing, sparse_cell, runs, 3);
 
     // Store-backed provenance: how much of a real search's NTK traffic the
     // evaluation caches absorb, and how densely the mega-batcher packs the
@@ -146,11 +121,6 @@ fn compare_and_record(runs: usize) {
     println!(
         "  sparse bench cell:         {blocked_sparse:>8.4} s -> {simd_sparse:>8.4} s  ({:.2}x)",
         blocked_sparse / simd_sparse
-    );
-    println!("kernel-graph pipeline (eager vs fusing compiler, best of 3):");
-    println!(
-        "  sparse bench cell:         {eager_sparse:>8.4} s -> {fused_sparse:>8.4} s  ({:.2}x)",
-        eager_sparse / fused_sparse
     );
     println!(
         "  search eval-cache:         {} hits / {} misses ({:.1}% absorbed)",
@@ -186,12 +156,6 @@ fn compare_and_record(runs: usize) {
         (
             "speedup_simd_vs_blocked_bench_cell".to_string(),
             blocked_sparse / simd_sparse,
-        ),
-        ("eager_seconds_bench_cell".to_string(), eager_sparse),
-        ("fused_seconds_bench_cell".to_string(), fused_sparse),
-        (
-            "speedup_fused_vs_eager_bench_cell".to_string(),
-            eager_sparse / fused_sparse,
         ),
     ];
     fields.extend(cache_stat_fields("search_cache", &cache));
@@ -241,60 +205,12 @@ fn bench_ntk_engines(c: &mut Criterion) {
             "the simd backend ({simd_s:.4}s) regressed below the blocked_gemm \
              backend ({blocked_s:.4}s) on the conv-heavy cell"
         );
-
-        // Graph-pipeline gate: the fusing compiler's cached plan must not
-        // regress below the eager call tree on the sparse bench cell (the
-        // fused path's home turf — dead edges and dispatch overhead
-        // dominate there). Same noise-robustness scheme: interleaved
-        // best-of-3, a warning at parity, a hard failure only past 1.25×.
-        banner(
-            "Graph smoke: fused plans must not regress below eager",
-            "fusing-compiler regression gate (sparse bench cell)",
-        );
-        let space = SearchSpace::nas_bench_201();
-        let sparse_cell = space.cell(BENCH_CELL).expect("valid index");
-        let (mut eager_s, mut fused_s) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..3 {
-            eager_s = eager_s.min(backend_seconds(
-                KernelBackendKind::BlockedGemm,
-                sparse_cell,
-                2,
-                1,
-            ));
-            fused_s = fused_s.min(compiler_seconds(
-                micronas_graph::CompilerKind::Fusing,
-                sparse_cell,
-                2,
-                1,
-            ));
-        }
-        println!("gate: eager {eager_s:.4}s vs fused {fused_s:.4}s (best of 3)");
-        record_bench_json(
-            "ntk_engine_graph_smoke",
-            &[
-                ("eager_seconds", eager_s),
-                ("fused_seconds", fused_s),
-                ("speedup_fused_vs_eager", eager_s / fused_s),
-            ],
-        );
-        if fused_s > eager_s {
-            eprintln!(
-                "warning: the fusing compiler ({fused_s:.4}s) is not beating the \
-                 eager path ({eager_s:.4}s) on this runner"
-            );
-        }
-        assert!(
-            fused_s <= eager_s * 1.25,
-            "the fusing compiler ({fused_s:.4}s) regressed below the eager \
-             path ({eager_s:.4}s) on the sparse bench cell"
-        );
-
         return;
     }
 
     if !c.is_test_mode() {
         banner(
-            "NTK end-to-end: conv engines, backends and graph pipeline",
+            "NTK end-to-end: conv engines and backends",
             "proxy-evaluation engine + batched per-sample gradients",
         );
         compare_and_record(6);

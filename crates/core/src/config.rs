@@ -1,5 +1,4 @@
 use crate::{MicroNasError, Result};
-use micronas_graph::CompilerKind;
 use micronas_hw::HardwareConstraints;
 use micronas_mcu::McuSpec;
 use micronas_nn::ProxyNetworkConfig;
@@ -27,13 +26,6 @@ pub struct MicroNasConfig {
     /// therefore gets its own store namespace (see
     /// [`MicroNasConfig::store_namespace`]).
     pub backend: KernelBackendKind,
-    /// Graph compiler the proxy networks execute through. `None` (the
-    /// default) is the eager kernel path; [`CompilerKind::Interpreter`]
-    /// replays the same kernels through a compiled plan (bitwise identical,
-    /// shares the store namespace); any numerically divergent compiler
-    /// (e.g. [`CompilerKind::Fusing`]) folds into the namespace like a
-    /// divergent backend.
-    pub compiler: Option<CompilerKind>,
     /// Distributed evaluation fabric this worker joins: peer addresses and
     /// transport tuning (`None` = standalone). The fabric only changes
     /// *where* warm records come from, never what is computed, so it does
@@ -55,7 +47,6 @@ impl MicroNasConfig {
             mcu,
             seed: 0,
             backend: KernelBackendKind::BlockedGemm,
-            compiler: None,
             fabric: None,
         }
     }
@@ -73,7 +64,6 @@ impl MicroNasConfig {
             mcu,
             seed: 0,
             backend: KernelBackendKind::BlockedGemm,
-            compiler: None,
             fabric: None,
         }
     }
@@ -112,7 +102,6 @@ impl MicroNasConfig {
             mcu,
             seed: 0,
             backend: KernelBackendKind::BlockedGemm,
-            compiler: None,
             fabric: None,
         }
     }
@@ -136,17 +125,6 @@ impl MicroNasConfig {
     /// the new backend cannot reproduce.
     pub fn with_backend(mut self, backend: KernelBackendKind) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Replaces the graph compiler, keeping everything else. `None` is the
-    /// eager path. Like [`MicroNasConfig::with_backend`], a compiler that is
-    /// not bitwise-identical to the eager pipeline moves the configuration
-    /// into its own store namespace — persisted logs written under other
-    /// schedules refuse to open rather than serve values this compiler
-    /// cannot reproduce.
-    pub fn with_compiler(mut self, compiler: Option<CompilerKind>) -> Self {
-        self.compiler = compiler;
         self
     }
 
@@ -215,21 +193,6 @@ impl MicroNasConfig {
                     .config_fingerprint()
                     .to_le_bytes(),
             );
-        }
-        // Graph compiler: `None` and any bitwise-identical compiler (the
-        // interpreter replays the eager kernel sequence exactly) contribute
-        // NOTHING, so eager-era logs keep resolving under them. A divergent
-        // schedule (the fusing compiler) folds its `(id, fingerprint)` in —
-        // its evaluations land in a disjoint namespace, and logs written
-        // under other numerics refuse to open.
-        if let Some(kind) = self.compiler {
-            if !kind.bitwise_paper_identical() {
-                h.update(b"compiler/");
-                let id = kind.id();
-                h.update(&(id.len() as u64).to_le_bytes());
-                h.update(id.as_bytes());
-                h.update(&kind.instantiate().config_fingerprint().to_le_bytes());
-            }
         }
         h.finish()
     }
@@ -387,46 +350,6 @@ mod tests {
         assert_ne!(default_ns, simd_ns);
         assert_ne!(default_ns, direct_ns);
         assert_ne!(simd_ns, direct_ns);
-    }
-
-    #[test]
-    fn compiler_selection_controls_the_namespace() {
-        let default_ns = MicroNasConfig::fast().store_namespace();
-        // Eager execution and the bitwise interpreter share the namespace:
-        // the interpreter replays the eager schedule value-for-value, so
-        // logs written under either must keep resolving under the other.
-        assert_eq!(
-            default_ns,
-            MicroNasConfig::fast()
-                .with_compiler(Some(CompilerKind::Interpreter))
-                .store_namespace()
-        );
-        // The paper pin survives the graph pipeline.
-        assert_eq!(
-            MicroNasConfig::paper_default()
-                .with_compiler(Some(CompilerKind::Interpreter))
-                .store_namespace(),
-            0xa01c_0bcb_e15a_bdf4
-        );
-        // A fusing compiler reassociates reductions, so it gets its own
-        // namespace — exactly like a divergent backend.
-        let fused_ns = MicroNasConfig::fast()
-            .with_compiler(Some(CompilerKind::Fusing))
-            .store_namespace();
-        assert_ne!(default_ns, fused_ns);
-        // Backend and compiler folds compose: divergent backend + divergent
-        // compiler is a third namespace.
-        let simd_fused_ns = MicroNasConfig::fast()
-            .with_backend(KernelBackendKind::Simd)
-            .with_compiler(Some(CompilerKind::Fusing))
-            .store_namespace();
-        assert_ne!(fused_ns, simd_fused_ns);
-        assert_ne!(
-            MicroNasConfig::fast()
-                .with_backend(KernelBackendKind::Simd)
-                .store_namespace(),
-            simd_fused_ns
-        );
     }
 
     #[test]

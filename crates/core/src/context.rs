@@ -181,14 +181,11 @@ impl SearchContext {
         let extra_proxies = register_proxies(proxies)?;
         let benchmark = SurrogateBenchmark::new(config.seed);
         let skeleton = benchmark.skeleton_for(dataset);
-        let mut zero_cost = ZeroCostEvaluator::with_backend(
+        let zero_cost = ZeroCostEvaluator::with_backend(
             config.ntk,
             config.linear_regions,
             config.backend.instantiate(),
         );
-        if let Some(kind) = config.compiler {
-            zero_cost = zero_cost.with_compiler(kind.instantiate());
-        }
         let store =
             store.unwrap_or_else(|| Arc::new(EvalStore::in_memory(config.store_namespace())));
         Ok(Self {

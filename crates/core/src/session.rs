@@ -122,7 +122,6 @@ pub struct SearchSessionBuilder {
     store: Option<Arc<EvalStore>>,
     observer: Option<Arc<dyn SearchObserver>>,
     backend: Option<micronas_tensor::KernelBackendKind>,
-    compiler: Option<micronas_graph::CompilerKind>,
     pack_width: Option<usize>,
     telemetry: Option<Arc<dyn micronas_telemetry::TelemetrySink>>,
     fabric: Option<micronas_fabric::FabricConfig>,
@@ -196,21 +195,6 @@ impl SearchSessionBuilder {
         self
     }
 
-    /// Routes the session's built-in indicators (NTK, linear regions)
-    /// through a compiled kernel-graph plan instead of the eager call tree
-    /// (overrides the configuration's `compiler` field; default: eager).
-    ///
-    /// [`micronas_graph::CompilerKind::Interpreter`] replays the eager
-    /// schedule bitwise and keeps the paper store namespace; a numerically
-    /// divergent compiler such as [`micronas_graph::CompilerKind::Fusing`]
-    /// moves the session into its own namespace — exactly like a divergent
-    /// backend — so an attached store must have been created for it.
-    #[must_use]
-    pub fn compiler(mut self, compiler: micronas_graph::CompilerKind) -> Self {
-        self.compiler = Some(compiler);
-        self
-    }
-
     /// Sets the maximum number of candidates the session's context packs
     /// into one mega-batched proxy sweep (default:
     /// [`crate::DEFAULT_PACK_WIDTH`]; clamped to at least 1, and 1 disables
@@ -275,9 +259,6 @@ impl SearchSessionBuilder {
         let mut config = self.config.unwrap_or_default();
         if let Some(backend) = self.backend {
             config.backend = backend;
-        }
-        if let Some(compiler) = self.compiler {
-            config.compiler = Some(compiler);
         }
         if let Some(fabric) = self.fabric {
             config.fabric = Some(fabric);

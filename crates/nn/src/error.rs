@@ -15,8 +15,6 @@ pub enum NnError {
     },
     /// A configuration value was invalid.
     InvalidConfig(String),
-    /// Building or running a compiled kernel-graph plan failed.
-    Graph(String),
 }
 
 impl fmt::Display for NnError {
@@ -29,7 +27,6 @@ impl fmt::Display for NnError {
                 expected[1], expected[2], expected[3]
             ),
             NnError::InvalidConfig(msg) => write!(f, "invalid network configuration: {msg}"),
-            NnError::Graph(msg) => write!(f, "kernel-graph plan failed: {msg}"),
         }
     }
 }
@@ -46,15 +43,6 @@ impl std::error::Error for NnError {
 impl From<TensorError> for NnError {
     fn from(e: TensorError) -> Self {
         NnError::Tensor(e)
-    }
-}
-
-impl From<micronas_graph::GraphError> for NnError {
-    fn from(e: micronas_graph::GraphError) -> Self {
-        match e {
-            micronas_graph::GraphError::Tensor(t) => NnError::Tensor(t),
-            other => NnError::Graph(other.to_string()),
-        }
     }
 }
 

@@ -43,7 +43,6 @@ mod error;
 mod gradient;
 mod layers;
 mod network;
-mod plan;
 mod signs;
 
 pub use config::ProxyNetworkConfig;

@@ -5,7 +5,6 @@ use crate::{
     ConvLayer, LinearLayer, NnError, ParameterGradients, PerSampleGradients, ProxyNetworkConfig,
     Result, SignPatterns,
 };
-use micronas_graph::Compiler;
 use micronas_searchspace::{CellTopology, EdgeId, Operation, NUM_EDGES, NUM_NODES};
 use micronas_tensor::{
     global_avg_pool, global_avg_pool_backward, hash_mix,
@@ -31,8 +30,8 @@ pub struct ForwardOutput {
 /// One stacked instance of the searched cell: a convolution layer for every
 /// parameterised edge.
 #[derive(Debug, Clone)]
-pub(crate) struct CellInstance {
-    pub(crate) edge_convs: Vec<Option<ConvLayer>>,
+struct CellInstance {
+    edge_convs: Vec<Option<ConvLayer>>,
 }
 
 /// Intermediate tensors of a forward pass, retained for backpropagation.
@@ -58,8 +57,7 @@ struct ForwardTrace {
 ///
 /// The eager forward and the per-sample gradient sweep are those of a
 /// [`CellNetworkPack`] of one network: a solo network runs the same code,
-/// counting no packed dispatch. [`CellNetwork::with_compiler`] routes both
-/// through a compiled kernel-graph plan instead. The looped formulation
+/// counting no packed dispatch. The looped formulation
 /// ([`CellNetwork::per_sample_gradients_looped_with`]) is the independent
 /// oracle both are tested against, and the summed backward
 /// ([`CellNetwork::parameter_gradients`]) serves saliency proxies.
@@ -71,22 +69,18 @@ struct ForwardTrace {
 /// [`KernelBackend`] ([`CellNetwork::with_backend`]; the plain constructor
 /// uses the shared paper-default backend, which is bitwise-identical to the
 /// pre-backend pipeline). The *weights* never depend on the backend: only
-/// execution arithmetic does. Exceptions, by design: the looped oracle
-/// keeps its own free-function forward trace, independent of the pack
-/// forward it checks, and the tiny `global_avg_pool` reduction is shared
-/// by all backends.
+/// execution arithmetic does. The looped oracle's reference forward trace
+/// runs on the same backend but shares no code with the pack forward it
+/// checks. The one exception, by design: the tiny `global_avg_pool`
+/// reduction is shared by all backends.
 #[derive(Debug, Clone)]
 pub struct CellNetwork {
-    pub(crate) cell: CellTopology,
-    pub(crate) config: ProxyNetworkConfig,
-    pub(crate) stem: ConvLayer,
-    pub(crate) cells: Vec<CellInstance>,
-    pub(crate) classifier: LinearLayer,
+    cell: CellTopology,
+    config: ProxyNetworkConfig,
+    stem: ConvLayer,
+    cells: Vec<CellInstance>,
+    classifier: LinearLayer,
     backend: Arc<dyn KernelBackend>,
-    /// When set, `forward_with` and the batched per-sample gradient path
-    /// execute through a compiled kernel-graph plan instead of the eager
-    /// kernel sequence. `None` (the default) is the eager path.
-    compiler: Option<Arc<dyn Compiler>>,
 }
 
 impl CellNetwork {
@@ -168,41 +162,7 @@ impl CellNetwork {
             cells,
             classifier,
             backend,
-            compiler: None,
         })
-    }
-
-    /// Routes the forward and batched per-sample gradient passes through a
-    /// compiled kernel-graph plan built by `compiler` (the weights and the
-    /// execution backend are unchanged — only the execution strategy is).
-    /// Plans are cached per `(topology, geometry, batch, compiler)` across
-    /// the process, so repeated evaluations compile once.
-    #[must_use]
-    pub fn with_compiler(mut self, compiler: Arc<dyn Compiler>) -> Self {
-        self.compiler = Some(compiler);
-        self
-    }
-
-    /// The graph compiler this network executes through, if any (`None`
-    /// means the eager kernel path).
-    pub fn compiler(&self) -> Option<&Arc<dyn Compiler>> {
-        self.compiler.as_ref()
-    }
-
-    /// Lowers this network's forward pass at batch size `n` to a kernel
-    /// graph (the IR the graph pipeline compiles; see
-    /// [`CellNetwork::with_compiler`]). With `collect_pre` set, the graph
-    /// additionally exposes the pre-ReLU conv inputs as `pre{i}` outputs,
-    /// as the linear-region proxy consumes them. Useful for inspection and
-    /// debug dumps ([`micronas_graph::Graph::to_dot`]).
-    pub fn lower_forward(&self, n: usize, collect_pre: bool) -> micronas_graph::Graph {
-        crate::plan::lower(self, n, crate::plan::PlanMode::Forward { collect_pre })
-    }
-
-    /// Lowers this network's batched per-sample gradient sweep at batch
-    /// size `n` to a kernel graph producing the `[n, P]` `matrix` output.
-    pub fn lower_per_sample_grad(&self, n: usize) -> micronas_graph::Graph {
-        crate::plan::lower(self, n, crate::plan::PlanMode::PerSampleGrad)
     }
 
     /// The searched cell this network instantiates.
@@ -287,10 +247,6 @@ impl CellNetwork {
     /// Returns [`NnError::InputMismatch`] if the input geometry does not
     /// match the configuration.
     pub fn forward_with(&self, input: &Tensor, workspace: &mut Workspace) -> Result<ForwardOutput> {
-        if let Some(compiler) = &self.compiler {
-            self.check_input(input)?;
-            return crate::plan::forward_graph(self, input, workspace, compiler);
-        }
         match forward_members(
             std::slice::from_ref(self),
             input,
@@ -389,10 +345,6 @@ impl CellNetwork {
         batch: &Tensor,
         workspace: &mut Workspace,
     ) -> Result<PerSampleGradients> {
-        if let Some(compiler) = &self.compiler {
-            self.check_input(batch)?;
-            return crate::plan::per_sample_gradient_matrix_graph(self, batch, workspace, compiler);
-        }
         let matrix =
             per_sample_gradient_matrices(std::slice::from_ref(self), batch, workspace)?.pop();
         Ok(matrix.expect("a pack of one has one matrix"))
@@ -484,7 +436,7 @@ impl CellNetwork {
     /// order (stem, cells in order with edges in canonical order,
     /// classifier). Non-conv edges get `usize::MAX`. Returns the table and
     /// the classifier offset.
-    pub(crate) fn edge_parameter_offsets(&self) -> (Vec<[usize; NUM_EDGES]>, usize) {
+    fn edge_parameter_offsets(&self) -> (Vec<[usize; NUM_EDGES]>, usize) {
         let mut offset = self.stem.num_parameters();
         let mut table = Vec::with_capacity(self.cells.len());
         for cell in &self.cells {
@@ -1115,21 +1067,6 @@ impl CellNetworkPack {
         Ok(Self { networks })
     }
 
-    /// Routes every member's graph-capable entry points through `compiler`
-    /// (see [`CellNetwork::with_compiler`]). Under a compiler the pack
-    /// evaluates its members through their solo compiled plans — the packed
-    /// eager fast path is definitionally bitwise-equal to solo evaluation,
-    /// so the pack contract is unchanged.
-    #[must_use]
-    pub fn with_compiler(mut self, compiler: Arc<dyn Compiler>) -> Self {
-        self.networks = self
-            .networks
-            .into_iter()
-            .map(|n| n.with_compiler(Arc::clone(&compiler)))
-            .collect();
-        self
-    }
-
     /// The pack members, in construction order.
     pub fn networks(&self) -> &[CellNetwork] {
         &self.networks
@@ -1158,13 +1095,6 @@ impl CellNetworkPack {
         input: &Tensor,
         workspace: &mut Workspace,
     ) -> Result<Vec<ForwardOutput>> {
-        if self.networks.first().is_some_and(|n| n.compiler.is_some()) {
-            return self
-                .networks
-                .iter()
-                .map(|net| net.forward_with(input, workspace))
-                .collect();
-        }
         Ok(
             forward_members(&self.networks, input, workspace, PackSink::Tensors)?
                 .into_iter()
@@ -1180,8 +1110,7 @@ impl CellNetworkPack {
     /// into bits by the packed forward pass itself: element `i` equals
     /// [`SignPatterns::from_pre_activations`] over the `pre_activations` of
     /// [`CellNetworkPack::forward_with`] member `i`, without copying a
-    /// single pre-activation tensor out. Under a graph compiler each member
-    /// runs its solo compiled forward and packs its pre-activations.
+    /// single pre-activation tensor out.
     ///
     /// # Errors
     ///
@@ -1192,20 +1121,6 @@ impl CellNetworkPack {
         input: &Tensor,
         workspace: &mut Workspace,
     ) -> Result<Vec<SignPatterns>> {
-        if self.networks.first().is_some_and(|n| n.compiler.is_some()) {
-            let points = input.shape().dims()[0];
-            return self
-                .networks
-                .iter()
-                .map(|net| {
-                    let out = net.forward_with(input, workspace)?;
-                    Ok(SignPatterns::from_pre_activations(
-                        points,
-                        &out.pre_activations,
-                    ))
-                })
-                .collect();
-        }
         Ok(
             forward_members(&self.networks, input, workspace, PackSink::Signs)?
                 .into_iter()
@@ -1222,8 +1137,7 @@ impl CellNetworkPack {
     /// edges bucketed by kernel size as in the forward and each bucket
     /// dispatched through the packed backward seam. Element `i` is bitwise
     /// identical to [`CellNetwork::per_sample_gradient_matrix_with`] on
-    /// member `i` alone. Under a compiler each member runs its solo
-    /// compiled plan (compiled plans are solo by definition).
+    /// member `i` alone.
     ///
     /// # Errors
     ///
@@ -1233,13 +1147,6 @@ impl CellNetworkPack {
         batch: &Tensor,
         workspace: &mut Workspace,
     ) -> Result<Vec<PerSampleGradients>> {
-        if self.networks.first().is_some_and(|n| n.compiler.is_some()) {
-            return self
-                .networks
-                .iter()
-                .map(|net| net.per_sample_gradient_matrix_with(batch, workspace))
-                .collect();
-        }
         per_sample_gradient_matrices(&self.networks, batch, workspace)
     }
 
@@ -1573,7 +1480,7 @@ fn relu_into(out: &mut [f32], values: &[f32]) {
 
 /// Counts the bytes of a float pre-activation copied out of a forward pass
 /// (`nn.pre_activation.bytes`).
-pub(crate) fn note_pre_activation_copy(t: &Tensor) {
+fn note_pre_activation_copy(t: &Tensor) {
     micronas_telemetry::counter_add(
         "nn.pre_activation.bytes",
         (t.numel() * std::mem::size_of::<f32>()) as u64,
@@ -1768,59 +1675,51 @@ mod tests {
         cell
     }
 
+    /// The forward oracle: every pack forward entry point, at pack widths 1,
+    /// 2 and 5 on both backend arms, must equal the reference forward trace
+    /// (one kernel call per edge, no value numbering, no pooled buffers) bit
+    /// for bit: logits from the classifier over the trace's features,
+    /// pre-activations from the trace's conv-edge sources in (cell, edge)
+    /// order, signs packed from those pre-activations.
     #[test]
-    fn graph_interpreter_matches_eager_bitwise() {
-        let cell = conv_chain_cell();
-        let config = ProxyNetworkConfig::tiny(10);
-        let net = CellNetwork::new(&cell, &config, 42).unwrap();
-        let gnet = net
-            .clone()
-            .with_compiler(micronas_graph::CompilerKind::Interpreter.instantiate());
-        let batch = random_batch(&config, 3, 7);
-        let mut ws = Workspace::default();
-
-        let eager = net.forward_with(&batch, &mut ws).unwrap();
-        let graph = gnet.forward_with(&batch, &mut ws).unwrap();
-        assert_eq!(eager.logits.data(), graph.logits.data());
-        assert_eq!(eager.pre_activations.len(), graph.pre_activations.len());
-        for (a, b) in eager.pre_activations.iter().zip(&graph.pre_activations) {
-            assert_eq!(a.data(), b.data());
-        }
-
-        let me = net
-            .per_sample_gradient_matrix_with(&batch, &mut ws)
-            .unwrap();
-        let mg = gnet
-            .per_sample_gradient_matrix_with(&batch, &mut ws)
-            .unwrap();
-        assert_eq!(me.values(), mg.values());
-    }
-
-    #[test]
-    fn graph_fusing_matches_eager_within_tolerance() {
-        let cell = conv_chain_cell();
-        let config = ProxyNetworkConfig::tiny(10);
-        let net = CellNetwork::new(&cell, &config, 42).unwrap();
-        let gnet = net
-            .clone()
-            .with_compiler(micronas_graph::CompilerKind::Fusing.instantiate());
-        let batch = random_batch(&config, 3, 7);
-        let mut ws = Workspace::default();
-
-        let eager = net.forward_with(&batch, &mut ws).unwrap();
-        let graph = gnet.forward_with(&batch, &mut ws).unwrap();
-        for (a, b) in eager.logits.data().iter().zip(graph.logits.data()) {
-            assert!((a - b).abs() <= 1e-4 * a.abs().max(1.0), "{a} vs {b}");
-        }
-
-        let me = net
-            .per_sample_gradient_matrix_with(&batch, &mut ws)
-            .unwrap();
-        let mg = gnet
-            .per_sample_gradient_matrix_with(&batch, &mut ws)
-            .unwrap();
-        for (a, b) in me.values().iter().zip(mg.values()) {
-            assert!((a - b).abs() <= 1e-4 * a.abs().max(1.0), "{a} vs {b}");
+    fn pack_forward_matches_the_reference_trace_bitwise() {
+        let space = SearchSpace::nas_bench_201();
+        let mut rng = DeterministicRng::new(0x0AC1E);
+        let mut cells = vec![conv_chain_cell(), space.cell(7_831).unwrap()];
+        cells.extend((0..3).map(|_| space.cell(rng.below(15_625)).unwrap()));
+        for (backend, mut config) in backend_arms(&ProxyNetworkConfig::tiny(10)) {
+            config.num_cells = 2;
+            let points = 3;
+            let batch = random_batch(&config, points, 17);
+            let id = backend.id().to_string();
+            for width in [1usize, 2, cells.len()] {
+                let pack =
+                    CellNetworkPack::with_backend(&cells[..width], &config, 5, backend.clone())
+                        .unwrap();
+                let mut ws = Workspace::default();
+                let outputs = pack.forward_with(&batch, &mut ws).unwrap();
+                let signs = pack.forward_signs_with(&batch, &mut ws).unwrap();
+                for (i, net) in pack.networks().iter().enumerate() {
+                    let trace = net.forward_trace_reference(&batch, &mut ws).unwrap();
+                    let logits = net.classifier.forward(&*backend, &trace.features).unwrap();
+                    let mut pre = Vec::new();
+                    for (cell_idx, cell) in net.cells.iter().enumerate() {
+                        for edge in EdgeId::all() {
+                            if cell.edge_convs[edge.0].is_some() {
+                                pre.push(trace.nodes[cell_idx][edge.endpoints().0].clone());
+                            }
+                        }
+                    }
+                    let what = format!("backend {id} width {width} member {i}");
+                    assert_eq!(outputs[i].logits.data(), logits.data(), "{what}: logits");
+                    assert_eq!(outputs[i].pre_activations.len(), pre.len(), "{what}");
+                    for (a, b) in outputs[i].pre_activations.iter().zip(&pre) {
+                        assert_eq!(a.data(), b.data(), "{what}: pre-activations");
+                    }
+                    let expected = SignPatterns::from_pre_activations(points, &pre);
+                    assert_eq!(signs[i], expected, "{what}: signs");
+                }
+            }
         }
     }
 

@@ -190,8 +190,7 @@ mod tests {
 
     /// Checks `forward_signs_with` against the naive signs of
     /// `forward_with(..).pre_activations` for random cells (plus the
-    /// conv-free cell 0, whose rows are empty) at pack widths 1, 2 and 5,
-    /// eager and through the interpreter compiler.
+    /// conv-free cell 0, whose rows are empty) at pack widths 1, 2 and 5.
     fn check_geometry(config: &ProxyNetworkConfig, rng: &mut TestRng, context: &str) {
         let space = SearchSpace::nas_bench_201();
         let mut cells: Vec<CellTopology> = (0..4)
@@ -206,21 +205,14 @@ mod tests {
         let input = Tensor::from_vec(shape, values).unwrap();
         let mut ws = Workspace::default();
         for width in [1usize, 2, 5] {
-            for compiled in [false, true] {
-                let mut pack = CellNetworkPack::new(&cells[..width], config, 9).unwrap();
-                if compiled {
-                    pack =
-                        pack.with_compiler(micronas_graph::CompilerKind::Interpreter.instantiate());
-                }
-                let signs = pack.forward_signs_with(&input, &mut ws).unwrap();
-                let outputs = pack.forward_with(&input, &mut ws).unwrap();
-                assert_eq!(signs.len(), width);
-                for (i, (s, out)) in signs.iter().zip(&outputs).enumerate() {
-                    let naive = naive_patterns(&out.pre_activations, points);
-                    let context =
-                        format!("{context}, width {width}, compiled {compiled}, member {i}");
-                    assert_matches_naive(s, &naive, &context);
-                }
+            let pack = CellNetworkPack::new(&cells[..width], config, 9).unwrap();
+            let signs = pack.forward_signs_with(&input, &mut ws).unwrap();
+            let outputs = pack.forward_with(&input, &mut ws).unwrap();
+            assert_eq!(signs.len(), width);
+            for (i, (s, out)) in signs.iter().zip(&outputs).enumerate() {
+                let naive = naive_patterns(&out.pre_activations, points);
+                let context = format!("{context}, width {width}, member {i}");
+                assert_matches_naive(s, &naive, &context);
             }
         }
     }

@@ -106,7 +106,6 @@ impl LinearRegionReport {
 pub struct LinearRegionEvaluator {
     config: LinearRegionConfig,
     backend: Arc<dyn KernelBackend>,
-    compiler: Option<Arc<dyn micronas_graph::Compiler>>,
 }
 
 impl LinearRegionEvaluator {
@@ -116,7 +115,6 @@ impl LinearRegionEvaluator {
         Self {
             config,
             backend: paper_default_backend(),
-            compiler: None,
         }
     }
 
@@ -129,19 +127,6 @@ impl LinearRegionEvaluator {
     /// The execution backend in force.
     pub fn backend(&self) -> &Arc<dyn KernelBackend> {
         &self.backend
-    }
-
-    /// Returns a copy routing the probe forward passes through a compiled
-    /// kernel-graph plan ([`micronas_nn::CellNetwork::with_compiler`]).
-    #[must_use]
-    pub fn with_compiler(mut self, compiler: Arc<dyn micronas_graph::Compiler>) -> Self {
-        self.compiler = Some(compiler);
-        self
-    }
-
-    /// The graph compiler in force, if any (`None` means eager execution).
-    pub fn compiler(&self) -> Option<&Arc<dyn micronas_graph::Compiler>> {
-        self.compiler.as_ref()
     }
 
     /// The evaluator's configuration.
@@ -225,11 +210,7 @@ impl LinearRegionEvaluator {
         }
         let mut net_config = self.config.network;
         net_config.num_classes = dataset.num_classes().min(16);
-        let mut pack =
-            CellNetworkPack::with_backend(cells, &net_config, seed, self.backend.clone())?;
-        if let Some(compiler) = &self.compiler {
-            pack = pack.with_compiler(Arc::clone(compiler));
-        }
+        let pack = CellNetworkPack::with_backend(cells, &net_config, seed, self.backend.clone())?;
         let data = SyntheticDataset::new(dataset, seed);
 
         let mut accs: Vec<RegionAccumulator> =

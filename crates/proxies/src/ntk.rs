@@ -2,7 +2,6 @@
 
 use crate::{ProxyError, Result};
 use micronas_datasets::{DatasetKind, SyntheticDataset};
-use micronas_graph::Compiler;
 use micronas_nn::{CellNetworkPack, PerSampleGradients, ProxyNetworkConfig};
 use micronas_searchspace::CellTopology;
 use micronas_tensor::{
@@ -131,7 +130,6 @@ impl NtkReport {
 pub struct NtkEvaluator {
     config: NtkConfig,
     backend: Arc<dyn KernelBackend>,
-    compiler: Option<Arc<dyn Compiler>>,
 }
 
 impl NtkEvaluator {
@@ -141,7 +139,6 @@ impl NtkEvaluator {
         Self {
             config,
             backend: paper_default_backend(),
-            compiler: None,
         }
     }
 
@@ -154,21 +151,6 @@ impl NtkEvaluator {
     /// The execution backend in force.
     pub fn backend(&self) -> &Arc<dyn KernelBackend> {
         &self.backend
-    }
-
-    /// Returns a copy routing the per-sample gradient sweep through a
-    /// compiled kernel-graph plan ([`micronas_nn::CellNetwork::with_compiler`]).
-    /// Compiled plans are solo, so [`NtkEvaluator::evaluate_pack_in`] then
-    /// runs one plan per member (same values; only the schedule differs).
-    #[must_use]
-    pub fn with_compiler(mut self, compiler: Arc<dyn Compiler>) -> Self {
-        self.compiler = Some(compiler);
-        self
-    }
-
-    /// The graph compiler in force, if any (`None` means eager execution).
-    pub fn compiler(&self) -> Option<&Arc<dyn Compiler>> {
-        self.compiler.as_ref()
     }
 
     /// The evaluator's configuration.
@@ -284,15 +266,12 @@ impl NtkEvaluator {
                 net_config.input_resolution,
                 repeat as u64,
             )?;
-            let mut pack = CellNetworkPack::with_backend(
+            let pack = CellNetworkPack::with_backend(
                 cells,
                 &net_config,
                 repeat_seed,
                 self.backend.clone(),
             )?;
-            if let Some(compiler) = &self.compiler {
-                pack = pack.with_compiler(Arc::clone(compiler));
-            }
             let n = batch.images.shape().dims()[0];
             let matrices = pack.per_sample_gradient_matrices_with(&batch.images, workspace)?;
             for (acc, j) in accs.iter_mut().zip(matrices) {

@@ -73,17 +73,6 @@ impl ZeroCostEvaluator {
         }
     }
 
-    /// Returns a copy routing both indicators' network execution through a
-    /// compiled kernel-graph plan (see
-    /// [`micronas_nn::CellNetwork::with_compiler`]). Weights, backend and
-    /// probe data are unchanged — only the execution strategy is.
-    #[must_use]
-    pub fn with_compiler(mut self, compiler: std::sync::Arc<dyn micronas_graph::Compiler>) -> Self {
-        self.ntk = self.ntk.with_compiler(compiler.clone());
-        self.linear_regions = self.linear_regions.with_compiler(compiler);
-        self
-    }
-
     /// A fast evaluator for tests and quick searches.
     pub fn fast() -> Self {
         Self::new(NtkConfig::fast(), LinearRegionConfig::fast())

@@ -27,10 +27,7 @@
 //! Every kernel threads a reusable [`Workspace`] scratch arena, so repeated
 //! forward/backward passes (NTK repeats, linear-region probes) stop
 //! allocating. [`all_backends`] is the conformance-suite registry;
-//! [`paper_default_backend`] is the shared default instance. The one
-//! exception is the [`fused`] module: the fusing graph compiler's own
-//! conv kernels, whose divergent numerics the compiler folds into its store
-//! identity.
+//! [`paper_default_backend`] is the shared default instance.
 //!
 //! # Example
 //!
@@ -51,7 +48,6 @@
 mod backend;
 mod conv;
 mod error;
-pub mod fused;
 mod init;
 mod linalg;
 pub mod ops;

@@ -18,7 +18,7 @@
 ///   lowering of one image,
 /// * the **auxiliary buffer** (`aux_buffer`) for kernels that
 ///   need a second staging area while the column buffer is in use (e.g. the
-///   fused per-sample backward, which stages column gradients while the
+///   per-sample weight gradient, which stages transposed gradients while the
 ///   column buffer holds the im2col lowering), and
 /// * a **recycling pool** of whole-tensor buffers
 ///   ([`Workspace::take_zeroed`] / [`Workspace::recycle`]) used by the
@@ -68,7 +68,7 @@ pub struct Workspace {
     /// gradient staging buffer in the input-gradient kernel.
     col: Vec<f32>,
     /// Second staging buffer for kernels that need scratch while `col` is
-    /// live (per-sample fused backward).
+    /// live (per-sample weight gradients, pooling).
     aux: Vec<f32>,
     /// Free list of recycled whole-tensor buffers, most recently returned
     /// last. Bounded by [`MAX_POOLED`].

@@ -125,9 +125,7 @@
 //! bytes in, equal bytes out). The blocked-GEMM backend overrides the
 //! packed weight-gradient and forward entry points; every other backend
 //! inherits a per-member loop with identical numerics. A solo evaluation
-//! is the same sweep over a pack of one, and the NTK evaluator falls back
-//! to per-member solo plans only when a kernel-graph compiler is installed
-//! (compiled plans fuse within one candidate, not across). The cross-product is pinned in CI
+//! is the same sweep over a pack of one. The cross-product is pinned in CI
 //! (`crates/core/tests/strategy_conformance.rs` over strategies × widths
 //! × threads; `tests/backend_conformance.rs` over gradient backends ×
 //! widths × threads), and the store namespace did not move.
@@ -200,48 +198,6 @@
 //! rayon threads. `examples/telemetry_trace.rs` runs a traced paper sweep
 //! end to end and validates a recorded event stream replays clean.
 //!
-//! # The execution pipeline (PR 8): eager calls vs compiled kernel graphs
-//!
-//! PR 5 made the *kernels* pluggable; PR 8 makes the *schedule* pluggable.
-//! The [`graph`] crate ([`micronas_graph`]) adds a small SSA-style IR of
-//! tensor ops ([`graph::Graph`], built with its mutating builder methods)
-//! plus an
-//! object-safe [`graph::Compiler`] trait (`compile(&Graph) -> Runnable`),
-//! and `micronas-nn` lowers the cell network's forward pass and per-sample
-//! backward pass to that IR. Two compilers ship:
-//!
-//! | compiler (`id`) | what it does | numerics |
-//! |-----------------|--------------|----------|
-//! | [`graph::InterpreterCompiler`] (`"interpreter"`) | executes the graph node by node through the same [`tensor::KernelBackend`] entry points the eager path calls, in the same order | **bitwise-identical** to eager; shares the paper store namespace |
-//! | [`graph::FusingCompiler`] (`"fusing"`) | dead-code-eliminates unused subgraphs, fuses conv→ReLU epilogues and the backward weight+input pair over one shared im2col lowering, collapses fill+axpy | reassociated reductions; namespace-isolated like a divergent backend |
-//!
-//! Execution strategy is orthogonal to kernel choice: any compiler runs on
-//! any gradient-capable backend. Selection threads through every layer —
-//! `MicroNasConfig::with_compiler` / `SearchSession::builder().compiler(..)`
-//! pick a [`graph::CompilerKind`] for a whole search, and
-//! `CellNetwork::with_compiler`, `NtkEvaluator::with_compiler`,
-//! `LinearRegionEvaluator::with_compiler` pin individual networks and
-//! evaluators. With no compiler set, the eager call tree runs unchanged and
-//! remains the correctness oracle.
-//!
-//! Compiled plans are cached per `(topology, geometry, mode, compiler)` in a
-//! process-wide plan cache (`graph.plan_cache.*` telemetry counters), so a
-//! search compiles each distinct cell shape once and replays the `Runnable`
-//! thereafter. Compilation and execution are traced (`graph.compile` /
-//! `graph.exec` spans), and fused dispatches are counted
-//! (`graph.fused_dispatches`).
-//!
-//! **Store identity** follows the PR 5 rule verbatim: a compiler whose
-//! `bitwise_paper_identical()` is false folds `(id, config fingerprint)`
-//! into [`core::MicroNasConfig::store_namespace`], so logs written under
-//! fused numerics refuse to open under eager numerics and vice versa; the
-//! interpreter (and no compiler at all) folds nothing, keeping the paper
-//! namespace pin. `tests/graph_pipeline.rs` property-tests interpreter-vs-
-//! eager bitwise equality and fused-vs-oracle tolerance across random cells,
-//! batch sizes and backends; `examples/graph_dump.rs` renders the
-//! paper-default cell's forward/backward graphs (fused and unfused) as
-//! Graphviz via [`graph::Graph::to_dot`].
-//!
 //! # Deployment topologies (PR 9): from one process to a fleet
 //!
 //! The evaluation store has always been the unit of sharing; the [`fabric`]
@@ -289,7 +245,6 @@
 //! # Crate map
 //!
 //! * [`tensor`] — dense tensors and linear algebra ([`micronas_tensor`])
-//! * [`graph`] — kernel-graph IR and CPU compilers ([`micronas_graph`])
 //! * [`nn`] — neural-network substrate with explicit backprop ([`micronas_nn`])
 //! * [`searchspace`] — the NAS-Bench-201 cell search space ([`micronas_searchspace`])
 //! * [`datasets`] — synthetic CIFAR-style dataset generators ([`micronas_datasets`])
@@ -305,7 +260,6 @@
 pub use micronas as core;
 pub use micronas_datasets as datasets;
 pub use micronas_fabric as fabric;
-pub use micronas_graph as graph;
 pub use micronas_hw as hw;
 pub use micronas_mcu as mcu;
 pub use micronas_nasbench as nasbench;

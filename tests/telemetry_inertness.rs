@@ -68,43 +68,6 @@ fn sweep_fingerprint_is_pinned_under_every_sink_and_thread_count() {
     }
 }
 
-/// The inertness promise holds with the kernel-graph pipeline active too:
-/// a tiny sweep routed through the bitwise interpreter compiler (PR 8)
-/// reproduces the same pinned fingerprint under every sink at one and
-/// several rayon threads — telemetry perturbs neither the eager nor the
-/// compiled execution path.
-#[test]
-fn sweep_fingerprint_is_pinned_with_the_graph_pipeline_active() {
-    let _guard = lock_telemetry();
-    let config = MicroNasConfig::tiny_test()
-        .with_compiler(Some(micronas_suite::graph::CompilerKind::Interpreter));
-    let sinks: Vec<(&str, Arc<dyn TelemetrySink>)> = vec![
-        ("NullSink", Arc::new(NullSink)),
-        ("Collector", Arc::new(Collector::new())),
-        ("CountingSink", Arc::new(CountingSink::default())),
-    ];
-    for (name, sink) in &sinks {
-        for threads in [1usize, 4] {
-            let scope = micronas_suite::telemetry::install_scoped(sink.clone());
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let fingerprint = pool.install(|| {
-                run_paper_sweep(&config, &SweepScale::tiny(), None)
-                    .unwrap()
-                    .identity_fingerprint()
-            });
-            drop(scope);
-            assert_eq!(
-                fingerprint, TINY_FINGERPRINT,
-                "{name} @ {threads} threads with the graph pipeline perturbed \
-                 the sweep: {fingerprint:#018x}"
-            );
-        }
-    }
-}
-
 #[test]
 fn counting_sink_proves_probes_fire_while_results_stay_pinned() {
     let _guard = lock_telemetry();
