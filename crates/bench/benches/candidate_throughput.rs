@@ -83,11 +83,8 @@ fn run_search(config: &MicroNasConfig, threads: usize) -> (f64, EvalCacheStats, 
 /// weights, so duplicates' matrices are copies of one representative's
 /// sweep).
 fn packed_vs_unpacked(config: &MicroNasConfig, cell: CellTopology, rounds: usize) -> (f64, f64) {
-    let zero_cost = ZeroCostEvaluator::with_backend(
-        config.ntk,
-        config.linear_regions,
-        config.backend.instantiate(),
-    );
+    let zero_cost =
+        ZeroCostEvaluator::with_backend(config.ntk, config.linear_regions, config.backend);
     let cells = [cell; PACK];
     // One warm-up per side (arena growth, lazy tables).
     zero_cost
@@ -119,11 +116,8 @@ fn packed_vs_unpacked(config: &MicroNasConfig, cell: CellTopology, rounds: usize
 /// evaluations and of one packed sweep over the same cells, each counted
 /// under its own `Collector`.
 fn packed_vs_unpacked_work(config: &MicroNasConfig, cell: CellTopology) -> [(u64, u64); 2] {
-    let zero_cost = ZeroCostEvaluator::with_backend(
-        config.ntk,
-        config.linear_regions,
-        config.backend.instantiate(),
-    );
+    let zero_cost =
+        ZeroCostEvaluator::with_backend(config.ntk, config.linear_regions, config.backend);
     let traced = |round: &dyn Fn()| {
         let collector = Arc::new(Collector::new());
         let scope = micronas_telemetry::install_scoped(collector.clone());

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use micronas_bench::banner;
-use micronas_tensor::{Conv2dSpec, DeterministicRng, KernelBackendKind, Shape, Tensor, Workspace};
+use micronas_tensor::{Conv2dSpec, DeterministicRng, KernelBackend, Shape, Tensor, Workspace};
 
 fn random_tensor(shape: Shape, seed: u64) -> Tensor {
     let mut rng = DeterministicRng::new(seed);
@@ -84,35 +84,38 @@ fn bench_conv_kernels(c: &mut Criterion) {
         let (oh, ow) = case.spec.output_hw(case.resolution, case.resolution);
         let grad_out = random_tensor(Shape::nchw(case.batch, case.channels, oh, ow), 3);
         let mut ws = Workspace::default();
-        for kind in [KernelBackendKind::Direct, KernelBackendKind::BlockedGemm] {
-            let backend = kind.instantiate();
-            group.bench_with_input(BenchmarkId::new(case.name, kind.id()), &kind, |b, _| {
-                b.iter(|| {
-                    let fwd = backend.conv2d(&input, &weight, case.spec, &mut ws).unwrap();
-                    let gw = backend
-                        .conv2d_backward_weight(
-                            &input,
-                            &grad_out,
-                            case.channels,
-                            case.spec,
-                            &mut ws,
-                        )
-                        .unwrap();
-                    let gi = backend
-                        .conv2d_backward_input(
-                            &weight,
-                            &grad_out,
-                            input.shape(),
-                            case.spec,
-                            &mut ws,
-                        )
-                        .unwrap();
-                    let sums = (fwd.sum(), gw.sum(), gi.sum());
-                    ws.recycle(fwd.into_vec());
-                    ws.recycle(gi.into_vec());
-                    sums
-                });
-            });
+        for backend in KernelBackend::all() {
+            group.bench_with_input(
+                BenchmarkId::new(case.name, backend.id()),
+                &backend,
+                |b, _| {
+                    b.iter(|| {
+                        let fwd = backend.conv2d(&input, &weight, case.spec, &mut ws).unwrap();
+                        let gw = backend
+                            .conv2d_backward_weight(
+                                &input,
+                                &grad_out,
+                                case.channels,
+                                case.spec,
+                                &mut ws,
+                            )
+                            .unwrap();
+                        let gi = backend
+                            .conv2d_backward_input(
+                                &weight,
+                                &grad_out,
+                                input.shape(),
+                                case.spec,
+                                &mut ws,
+                            )
+                            .unwrap();
+                        let sums = (fwd.sum(), gw.sum(), gi.sum());
+                        ws.recycle(fwd.into_vec());
+                        ws.recycle(gi.into_vec());
+                        sums
+                    });
+                },
+            );
         }
     }
     group.finish();

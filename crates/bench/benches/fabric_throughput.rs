@@ -8,8 +8,10 @@
 //! (remote hit/miss counters are part of the JSON provenance in
 //! `target/bench-json/fabric_throughput.json`).
 //!
-//! `MICRONAS_BENCH_SMOKE=1` runs the reduced-iteration warm-vs-cold gate
-//! only: warm must beat cold outright, and the result must stay pinned.
+//! `MICRONAS_BENCH_SMOKE=1` runs the reduced-scale warm-fleet gate only,
+//! on exact counters: the warm arrival misses nothing locally or remotely,
+//! hits no timeout or error, is served by the fleet, and reproduces the
+//! cold report bit for bit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use micronas::experiments::{run_paper_sweep, SweepScale};
@@ -175,28 +177,34 @@ fn bench_fabric_throughput(c: &mut Criterion) {
 
     if smoke_mode() {
         banner(
-            "Fabric smoke: warm two-node fleet must beat a cold single node",
+            "Fabric smoke: a warm two-node fleet serves every evaluation",
             "distributed evaluation fabric regression gate (tiny paper grid)",
         );
-        // The warm arrival recomputes nothing — its sweep is pure loopback
-        // fetches — so it beats the cold run by a wide margin; parity here
-        // means the read-through path is broken, not that the runner is
-        // noisy. The reduced-scale numbers go to their own JSON so they
-        // never overwrite the headline measurements.
+        // The warm arrival must recompute nothing: every lookup is served
+        // from the fleet, so any local or remote miss means the read-through
+        // path degraded to recompute. Counters are exact, so the gate cannot
+        // flake; the timings are recorded for information only. The
+        // reduced-scale numbers go to their own JSON so they never overwrite
+        // the headline measurements.
         let (cold_s, warm_s, identical, local, tier) =
             cold_vs_warm_fleet(&MicroNasConfig::tiny_test(), &SweepScale::tiny());
-        println!("gate: cold single-node {cold_s:.3}s vs warm two-node {warm_s:.3}s");
+        println!(
+            "gate: warm arrival {} local hits / {} misses, {} remote hits / {} misses \
+             (cold {cold_s:.3}s, warm {warm_s:.3}s)",
+            local.hits, local.misses, tier.remote_hits, tier.remote_misses
+        );
         record_bench_json(
             "fabric_throughput_smoke",
             &fleet_fields(cold_s, warm_s, identical, &local, &tier),
         );
         assert!(identical, "fabric sweep must stay bitwise identical");
-        assert!(tier.remote_hits > 0, "fleet never served: {tier:?}");
-        assert!(
-            warm_s < cold_s,
-            "warm two-node sweep ({warm_s:.3}s) must beat the cold \
-             single-node sweep ({cold_s:.3}s)"
+        assert_eq!(local.misses, 0, "warm arrival recomputed: {local:?}");
+        assert_eq!(
+            (tier.remote_misses, tier.timeouts, tier.errors),
+            (0, 0, 0),
+            "fleet failed to serve: {tier:?}"
         );
+        assert!(tier.remote_hits > 0, "fleet never served: {tier:?}");
         return;
     }
 

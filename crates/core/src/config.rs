@@ -3,7 +3,7 @@ use micronas_hw::HardwareConstraints;
 use micronas_mcu::McuSpec;
 use micronas_nn::ProxyNetworkConfig;
 use micronas_proxies::{LinearRegionConfig, NtkConfig};
-use micronas_tensor::KernelBackendKind;
+use micronas_tensor::KernelBackend;
 use serde::{Deserialize, Serialize};
 
 /// Top-level configuration of a MicroNAS run: proxy settings, target device,
@@ -21,11 +21,11 @@ pub struct MicroNasConfig {
     /// Global seed for every stochastic component.
     pub seed: u64,
     /// Execution backend the proxy networks run on. The default
-    /// ([`KernelBackendKind::BlockedGemm`]) is bitwise-identical to the
+    /// ([`KernelBackend::BlockedGemm`]) is bitwise-identical to the
     /// paper pipeline; any other backend changes proxy numerics and
     /// therefore gets its own store namespace (see
     /// [`MicroNasConfig::store_namespace`]).
-    pub backend: KernelBackendKind,
+    pub backend: KernelBackend,
     /// Distributed evaluation fabric this worker joins: peer addresses and
     /// transport tuning (`None` = standalone). The fabric only changes
     /// *where* warm records come from, never what is computed, so it does
@@ -46,7 +46,7 @@ impl MicroNasConfig {
             constraints: HardwareConstraints::for_device(&mcu),
             mcu,
             seed: 0,
-            backend: KernelBackendKind::BlockedGemm,
+            backend: KernelBackend::BlockedGemm,
             fabric: None,
         }
     }
@@ -63,7 +63,7 @@ impl MicroNasConfig {
             constraints: HardwareConstraints::unconstrained(),
             mcu,
             seed: 0,
-            backend: KernelBackendKind::BlockedGemm,
+            backend: KernelBackend::BlockedGemm,
             fabric: None,
         }
     }
@@ -101,7 +101,7 @@ impl MicroNasConfig {
             constraints: HardwareConstraints::unconstrained(),
             mcu,
             seed: 0,
-            backend: KernelBackendKind::BlockedGemm,
+            backend: KernelBackend::BlockedGemm,
             fabric: None,
         }
     }
@@ -123,7 +123,7 @@ impl MicroNasConfig {
     /// configuration into its own store namespace — persisted logs written
     /// under the default numerics refuse to open rather than serve values
     /// the new backend cannot reproduce.
-    pub fn with_backend(mut self, backend: KernelBackendKind) -> Self {
+    pub fn with_backend(mut self, backend: KernelBackend) -> Self {
         self.backend = backend;
         self
     }
@@ -186,13 +186,7 @@ impl MicroNasConfig {
             let id = self.backend.id();
             h.update(&(id.len() as u64).to_le_bytes());
             h.update(id.as_bytes());
-            h.update(
-                &self
-                    .backend
-                    .instantiate()
-                    .config_fingerprint()
-                    .to_le_bytes(),
-            );
+            h.update(&self.backend.config_fingerprint().to_le_bytes());
         }
         h.finish()
     }
@@ -337,19 +331,14 @@ mod tests {
         assert_eq!(
             default_ns,
             MicroNasConfig::fast()
-                .with_backend(KernelBackendKind::BlockedGemm)
+                .with_backend(KernelBackend::BlockedGemm)
                 .store_namespace()
         );
-        // Every numerically divergent backend gets its own namespace.
-        let simd_ns = MicroNasConfig::fast()
-            .with_backend(KernelBackendKind::Simd)
-            .store_namespace();
+        // The numerically divergent backend gets its own namespace.
         let direct_ns = MicroNasConfig::fast()
-            .with_backend(KernelBackendKind::Direct)
+            .with_backend(KernelBackend::Direct)
             .store_namespace();
-        assert_ne!(default_ns, simd_ns);
         assert_ne!(default_ns, direct_ns);
-        assert_ne!(simd_ns, direct_ns);
     }
 
     #[test]

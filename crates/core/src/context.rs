@@ -181,11 +181,8 @@ impl SearchContext {
         let extra_proxies = register_proxies(proxies)?;
         let benchmark = SurrogateBenchmark::new(config.seed);
         let skeleton = benchmark.skeleton_for(dataset);
-        let zero_cost = ZeroCostEvaluator::with_backend(
-            config.ntk,
-            config.linear_regions,
-            config.backend.instantiate(),
-        );
+        let zero_cost =
+            ZeroCostEvaluator::with_backend(config.ntk, config.linear_regions, config.backend);
         let store =
             store.unwrap_or_else(|| Arc::new(EvalStore::in_memory(config.store_namespace())));
         Ok(Self {

@@ -121,7 +121,7 @@ pub struct SearchSessionBuilder {
     proxies: Vec<Arc<dyn Proxy>>,
     store: Option<Arc<EvalStore>>,
     observer: Option<Arc<dyn SearchObserver>>,
-    backend: Option<micronas_tensor::KernelBackendKind>,
+    backend: Option<micronas_tensor::KernelBackend>,
     pack_width: Option<usize>,
     telemetry: Option<Arc<dyn micronas_telemetry::TelemetrySink>>,
     fabric: Option<micronas_fabric::FabricConfig>,
@@ -179,18 +179,19 @@ impl SearchSessionBuilder {
     /// Selects the execution backend the session's **built-in** indicators
     /// (NTK, linear regions) run on (overrides the configuration's
     /// `backend` field; default: the bitwise paper-default
-    /// [`micronas_tensor::KernelBackendKind::BlockedGemm`]). A numerically
+    /// [`micronas_tensor::KernelBackend::BlockedGemm`]). A numerically
     /// divergent backend moves the session into its own store namespace, so
     /// an attached store must have been created for that namespace.
     ///
     /// Plugin proxies registered via [`SearchSessionBuilder::proxy`] are
-    /// opaque to the session and keep whatever execution configuration they
-    /// were constructed with — a plugin that supports backend selection
-    /// exposes its own `with_backend` constructor (and must fold the
-    /// backend into its `config_fingerprint`, see
-    /// [`micronas_proxies::fold_backend`]).
+    /// opaque to the session and keep the backend they were built with,
+    /// e.g. `NtkProxy::from_evaluator(NtkEvaluator::new(config)
+    /// .with_backend(KernelBackend::Direct))`. A plugin that runs on a
+    /// backend other than the paper default must fold it into its
+    /// `config_fingerprint` with [`micronas_proxies::fold_backend`], as the
+    /// built-in adapters do.
     #[must_use]
-    pub fn backend(mut self, backend: micronas_tensor::KernelBackendKind) -> Self {
+    pub fn backend(mut self, backend: micronas_tensor::KernelBackend) -> Self {
         self.backend = Some(backend);
         self
     }

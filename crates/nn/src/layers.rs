@@ -69,7 +69,7 @@ impl ConvLayer {
     /// Propagates tensor-shape errors from the backend kernel.
     pub fn forward(
         &self,
-        backend: &dyn KernelBackend,
+        backend: KernelBackend,
         input: &Tensor,
         workspace: &mut Workspace,
     ) -> Result<Tensor> {
@@ -84,7 +84,7 @@ impl ConvLayer {
     /// Propagates tensor-shape errors from the backend kernels.
     pub fn backward(
         &self,
-        backend: &dyn KernelBackend,
+        backend: KernelBackend,
         input: &Tensor,
         grad_out: &Tensor,
         workspace: &mut Workspace,
@@ -150,7 +150,7 @@ impl LinearLayer {
     /// # Errors
     ///
     /// Propagates tensor-shape errors.
-    pub fn forward(&self, backend: &dyn KernelBackend, input: &Tensor) -> Result<Tensor> {
+    pub fn forward(&self, backend: KernelBackend, input: &Tensor) -> Result<Tensor> {
         let (batch, in_features) = self.check_input(input)?;
         let out_features = self.weight.shape().dims()[0];
         let mut out = Tensor::zeros(Shape::d2(batch, out_features));
@@ -174,7 +174,7 @@ impl LinearLayer {
     /// Propagates tensor-shape errors.
     pub fn backward(
         &self,
-        backend: &dyn KernelBackend,
+        backend: KernelBackend,
         input: &Tensor,
         grad_out: &Tensor,
     ) -> Result<(Tensor, Tensor)> {
@@ -234,9 +234,9 @@ impl LinearLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use micronas_tensor::{BlockedGemmBackend, DeterministicRng};
+    use micronas_tensor::DeterministicRng;
 
-    const BACKEND: BlockedGemmBackend = BlockedGemmBackend;
+    const BACKEND: KernelBackend = KernelBackend::BlockedGemm;
 
     fn random_tensor(shape: Shape, seed: u64) -> Tensor {
         let mut rng = DeterministicRng::new(seed);
@@ -251,7 +251,7 @@ mod tests {
         assert_eq!(layer.out_channels(), 8);
         let input = random_tensor(Shape::nchw(2, 3, 8, 8), 2);
         let out = layer
-            .forward(&BACKEND, &input, &mut Workspace::default())
+            .forward(BACKEND, &input, &mut Workspace::default())
             .unwrap();
         assert_eq!(out.shape().dims(), &[2, 8, 8, 8]);
     }
@@ -261,11 +261,9 @@ mod tests {
         let layer = ConvLayer::new(4, 6, 3, 1, 1, InitKind::KaimingNormal, 3);
         let input = random_tensor(Shape::nchw(1, 4, 5, 5), 4);
         let mut ws = Workspace::default();
-        let out = layer.forward(&BACKEND, &input, &mut ws).unwrap();
+        let out = layer.forward(BACKEND, &input, &mut ws).unwrap();
         let grad_out = Tensor::ones(out.shape().clone());
-        let (gw, gi) = layer
-            .backward(&BACKEND, &input, &grad_out, &mut ws)
-            .unwrap();
+        let (gw, gi) = layer.backward(BACKEND, &input, &grad_out, &mut ws).unwrap();
         assert_eq!(gw.shape(), layer.weight().shape());
         assert_eq!(gi.shape(), input.shape());
     }
@@ -276,7 +274,7 @@ mod tests {
         // Overwrite weights with known values: [[1, 2], [3, 4]]
         layer.weight = Tensor::from_vec(Shape::d2(2, 2), vec![1., 2., 3., 4.]).unwrap();
         let input = Tensor::from_vec(Shape::d2(1, 2), vec![5., 6.]).unwrap();
-        let out = layer.forward(&BACKEND, &input).unwrap();
+        let out = layer.forward(BACKEND, &input).unwrap();
         assert_eq!(out.data(), &[17., 39.]);
     }
 
@@ -284,9 +282,9 @@ mod tests {
     fn linear_backward_finite_difference() {
         let layer = LinearLayer::new(6, 4, InitKind::XavierUniform, 7);
         let input = random_tensor(Shape::d2(3, 6), 8);
-        let out = layer.forward(&BACKEND, &input).unwrap();
+        let out = layer.forward(BACKEND, &input).unwrap();
         let grad_out = Tensor::ones(out.shape().clone());
-        let (gw, gi) = layer.backward(&BACKEND, &input, &grad_out).unwrap();
+        let (gw, gi) = layer.backward(BACKEND, &input, &grad_out).unwrap();
         assert_eq!(gw.shape().dims(), &[4, 6]);
         assert_eq!(gi.shape().dims(), &[3, 6]);
 
@@ -296,9 +294,9 @@ mod tests {
         for &idx in &[0usize, 5, 13, 23] {
             let orig = perturbed.weight.data()[idx];
             perturbed.weight.data_mut()[idx] = orig + eps;
-            let plus = perturbed.forward(&BACKEND, &input).unwrap().sum();
+            let plus = perturbed.forward(BACKEND, &input).unwrap().sum();
             perturbed.weight.data_mut()[idx] = orig - eps;
-            let minus = perturbed.forward(&BACKEND, &input).unwrap().sum();
+            let minus = perturbed.forward(BACKEND, &input).unwrap().sum();
             perturbed.weight.data_mut()[idx] = orig;
             let numeric = (plus - minus) / (2.0 * eps);
             assert!((numeric - gw.data()[idx]).abs() < 1e-2 * (1.0 + numeric.abs()));

@@ -9,10 +9,9 @@ use micronas_searchspace::{CellTopology, EdgeId, Operation, NUM_EDGES, NUM_NODES
 use micronas_tensor::{
     global_avg_pool, global_avg_pool_backward, hash_mix,
     ops::{relu, relu_backward},
-    paper_default_backend, KernelBackend, PackedGradSlot, Shape, Tensor, Workspace,
+    KernelBackend, PackedGradSlot, Shape, Tensor, Workspace,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Result of a forward pass through a [`CellNetwork`].
 #[derive(Debug, Clone)]
@@ -67,12 +66,12 @@ struct ForwardTrace {
 /// Every kernel the network runs — convolution forward/backward, pooling,
 /// the classifier GEMMs — dispatches through the network's
 /// [`KernelBackend`] ([`CellNetwork::with_backend`]; the plain constructor
-/// uses the shared paper-default backend, which is bitwise-identical to the
-/// pre-backend pipeline). The *weights* never depend on the backend: only
-/// execution arithmetic does. The looped oracle's reference forward trace
-/// runs on the same backend but shares no code with the pack forward it
-/// checks. The one exception, by design: the tiny `global_avg_pool`
-/// reduction is shared by all backends.
+/// uses the paper-default [`KernelBackend::BlockedGemm`], which is
+/// bitwise-identical to the pre-backend pipeline). The *weights* never
+/// depend on the backend: only execution arithmetic does. The looped
+/// oracle's reference forward trace runs on the same backend but shares no
+/// code with the pack forward it checks. The one exception, by design: the
+/// tiny `global_avg_pool` reduction is shared by all backends.
 #[derive(Debug, Clone)]
 pub struct CellNetwork {
     cell: CellTopology,
@@ -80,7 +79,7 @@ pub struct CellNetwork {
     stem: ConvLayer,
     cells: Vec<CellInstance>,
     classifier: LinearLayer,
-    backend: Arc<dyn KernelBackend>,
+    backend: KernelBackend,
 }
 
 impl CellNetwork {
@@ -94,7 +93,7 @@ impl CellNetwork {
     ///
     /// Returns [`NnError::InvalidConfig`] if the configuration is invalid.
     pub fn new(cell: &CellTopology, config: &ProxyNetworkConfig, seed: u64) -> Result<Self> {
-        Self::with_backend(cell, config, seed, paper_default_backend())
+        Self::with_backend(cell, config, seed, KernelBackend::BlockedGemm)
     }
 
     /// [`CellNetwork::new`] on an explicit execution backend. Weights are
@@ -107,7 +106,7 @@ impl CellNetwork {
         cell: &CellTopology,
         config: &ProxyNetworkConfig,
         seed: u64,
-        backend: Arc<dyn KernelBackend>,
+        backend: KernelBackend,
     ) -> Result<Self> {
         config.validate()?;
         let stem = ConvLayer::new(
@@ -171,8 +170,8 @@ impl CellNetwork {
     }
 
     /// The execution backend this network dispatches its kernels through.
-    pub fn backend(&self) -> &Arc<dyn KernelBackend> {
-        &self.backend
+    pub fn backend(&self) -> KernelBackend {
+        self.backend
     }
 
     /// The network configuration.
@@ -387,7 +386,7 @@ impl CellNetwork {
         workspace: &mut Workspace,
     ) -> Result<ForwardTrace> {
         self.check_input(input)?;
-        let backend = &*self.backend;
+        let backend = self.backend;
         let stem_out = self.stem.forward(backend, input, workspace)?;
         let mut nodes_per_cell = Vec::with_capacity(self.cells.len());
         let mut x = stem_out.clone();
@@ -461,7 +460,7 @@ impl CellNetwork {
         grad_logits: &Tensor,
         workspace: &mut Workspace,
     ) -> Result<ParameterGradients> {
-        let backend = &*self.backend;
+        let backend = self.backend;
         // Classifier.
         let (grad_cls_w, grad_features) =
             self.classifier
@@ -747,7 +746,7 @@ fn forward_members(
     };
     let _pack_span = micronas_telemetry::span!("nn.pack_forward");
     first.check_input(input)?;
-    let backend = &*first.backend;
+    let backend = first.backend;
     let pack = networks.len();
     let num_cells = first.cells.len();
 
@@ -1046,7 +1045,7 @@ impl CellNetworkPack {
     ///
     /// Returns [`NnError::InvalidConfig`] if the configuration is invalid.
     pub fn new(cells: &[CellTopology], config: &ProxyNetworkConfig, seed: u64) -> Result<Self> {
-        Self::with_backend(cells, config, seed, paper_default_backend())
+        Self::with_backend(cells, config, seed, KernelBackend::BlockedGemm)
     }
 
     /// [`CellNetworkPack::new`] on an explicit execution backend.
@@ -1058,11 +1057,11 @@ impl CellNetworkPack {
         cells: &[CellTopology],
         config: &ProxyNetworkConfig,
         seed: u64,
-        backend: Arc<dyn KernelBackend>,
+        backend: KernelBackend,
     ) -> Result<Self> {
         let networks = cells
             .iter()
-            .map(|cell| CellNetwork::with_backend(cell, config, seed, Arc::clone(&backend)))
+            .map(|cell| CellNetwork::with_backend(cell, config, seed, backend))
             .collect::<Result<Vec<_>>>()?;
         Ok(Self { networks })
     }
@@ -1219,7 +1218,7 @@ fn backward_members(
         return Ok(());
     };
     let _span = micronas_telemetry::span!("nn.pack_backward");
-    let backend = &*first.backend;
+    let backend = first.backend;
     let note_dispatch = |members: usize| {
         if networks.len() > 1 {
             note_pack_backward_dispatch(members);
@@ -1625,7 +1624,7 @@ const STEM_SEED_STREAM: u64 = 0x57E4_C0DE;
 mod tests {
     use super::*;
     use micronas_searchspace::SearchSpace;
-    use micronas_tensor::{DeterministicRng, KernelBackendKind};
+    use micronas_tensor::DeterministicRng;
 
     /// A tiny geometry on which every conv is at or above the direct-kernel
     /// threshold at batch 1 (8 channels at 8×8: 4 096 MACs for a conv1×1,
@@ -1640,13 +1639,11 @@ mod tests {
 
     /// The backend arms of the bitwise suites: the `direct` oracle on
     /// `config`, and `blocked_gemm` on [`all_gemm_config`].
-    fn backend_arms(
-        config: &ProxyNetworkConfig,
-    ) -> [(Arc<dyn KernelBackend>, ProxyNetworkConfig); 2] {
+    fn backend_arms(config: &ProxyNetworkConfig) -> [(KernelBackend, ProxyNetworkConfig); 2] {
         [
-            (KernelBackendKind::Direct.instantiate(), *config),
+            (KernelBackend::Direct, *config),
             (
-                KernelBackendKind::BlockedGemm.instantiate(),
+                KernelBackend::BlockedGemm,
                 all_gemm_config(config.num_classes),
             ),
         ]
@@ -1694,14 +1691,13 @@ mod tests {
             let id = backend.id().to_string();
             for width in [1usize, 2, cells.len()] {
                 let pack =
-                    CellNetworkPack::with_backend(&cells[..width], &config, 5, backend.clone())
-                        .unwrap();
+                    CellNetworkPack::with_backend(&cells[..width], &config, 5, backend).unwrap();
                 let mut ws = Workspace::default();
                 let outputs = pack.forward_with(&batch, &mut ws).unwrap();
                 let signs = pack.forward_signs_with(&batch, &mut ws).unwrap();
                 for (i, net) in pack.networks().iter().enumerate() {
                     let trace = net.forward_trace_reference(&batch, &mut ws).unwrap();
-                    let logits = net.classifier.forward(&*backend, &trace.features).unwrap();
+                    let logits = net.classifier.forward(backend, &trace.features).unwrap();
                     let mut pre = Vec::new();
                     for (cell_idx, cell) in net.cells.iter().enumerate() {
                         for edge in EdgeId::all() {
@@ -1859,7 +1855,7 @@ mod tests {
         for (backend, config) in backend_arms(&ProxyNetworkConfig::tiny(4)) {
             for (c_idx, cell) in cells.iter().enumerate() {
                 let seed = c_idx as u64 + 1;
-                let net = CellNetwork::with_backend(cell, &config, seed, backend.clone()).unwrap();
+                let net = CellNetwork::with_backend(cell, &config, seed, backend).unwrap();
                 for n in [1usize, 2, 7] {
                     let batch = random_batch(&config, n, 19 + n as u64);
                     let mut ws = Workspace::default();
@@ -2032,20 +2028,18 @@ mod tests {
     fn packed_forward_is_bitwise_identical_to_solo_members() {
         let cells = pack_test_cells();
         let tiny = ProxyNetworkConfig::tiny(10);
-        let default_arm = (paper_default_backend(), tiny);
+        let default_arm = (KernelBackend::default(), tiny);
         for (backend, config) in std::iter::once(default_arm).chain(backend_arms(&tiny)) {
             let batch = random_batch(&config, 2, 31);
             let id = backend.id().to_string();
             for width in [1usize, 2, cells.len()] {
                 let members = &cells[..width];
-                let pack =
-                    CellNetworkPack::with_backend(members, &config, 9, backend.clone()).unwrap();
+                let pack = CellNetworkPack::with_backend(members, &config, 9, backend).unwrap();
                 let mut pack_ws = Workspace::default();
                 let packed = pack.forward_with(&batch, &mut pack_ws).unwrap();
                 assert_eq!(packed.len(), width);
                 for (i, cell) in members.iter().enumerate() {
-                    let solo_net =
-                        CellNetwork::with_backend(cell, &config, 9, backend.clone()).unwrap();
+                    let solo_net = CellNetwork::with_backend(cell, &config, 9, backend).unwrap();
                     let mut solo_ws = Workspace::default();
                     let solo = solo_net.forward_with(&batch, &mut solo_ws).unwrap();
                     assert_eq!(

@@ -4,10 +4,9 @@ use crate::{ProxyError, Result};
 use micronas_datasets::{DatasetKind, SyntheticDataset};
 use micronas_nn::{CellNetworkPack, ProxyNetworkConfig, SignPatterns};
 use micronas_searchspace::CellTopology;
-use micronas_tensor::{paper_default_backend, KernelBackend, Shape, Tensor};
+use micronas_tensor::{KernelBackend, Shape, Tensor};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Configuration of the linear-region proxy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -105,7 +104,7 @@ impl LinearRegionReport {
 #[derive(Debug, Clone)]
 pub struct LinearRegionEvaluator {
     config: LinearRegionConfig,
-    backend: Arc<dyn KernelBackend>,
+    backend: KernelBackend,
 }
 
 impl LinearRegionEvaluator {
@@ -114,19 +113,19 @@ impl LinearRegionEvaluator {
     pub fn new(config: LinearRegionConfig) -> Self {
         Self {
             config,
-            backend: paper_default_backend(),
+            backend: KernelBackend::BlockedGemm,
         }
     }
 
     /// Returns a copy running on an explicit execution backend.
-    pub fn with_backend(mut self, backend: Arc<dyn KernelBackend>) -> Self {
+    pub fn with_backend(mut self, backend: KernelBackend) -> Self {
         self.backend = backend;
         self
     }
 
     /// The execution backend in force.
-    pub fn backend(&self) -> &Arc<dyn KernelBackend> {
-        &self.backend
+    pub fn backend(&self) -> KernelBackend {
+        self.backend
     }
 
     /// The evaluator's configuration.
@@ -210,7 +209,7 @@ impl LinearRegionEvaluator {
         }
         let mut net_config = self.config.network;
         net_config.num_classes = dataset.num_classes().min(16);
-        let pack = CellNetworkPack::with_backend(cells, &net_config, seed, self.backend.clone())?;
+        let pack = CellNetworkPack::with_backend(cells, &net_config, seed, self.backend)?;
         let data = SyntheticDataset::new(dataset, seed);
 
         let mut accs: Vec<RegionAccumulator> =

@@ -5,11 +5,9 @@ use micronas_datasets::{DatasetKind, SyntheticDataset};
 use micronas_nn::{CellNetworkPack, PerSampleGradients, ProxyNetworkConfig};
 use micronas_searchspace::CellTopology;
 use micronas_tensor::{
-    paper_default_backend, sym_eigenvalues_with, EigenOptions, EigenReport, KernelBackend, Shape,
-    Tensor, Workspace,
+    sym_eigenvalues_with, EigenOptions, EigenReport, KernelBackend, Shape, Tensor, Workspace,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Configuration of the NTK condition-number proxy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -129,7 +127,7 @@ impl NtkReport {
 #[derive(Debug, Clone)]
 pub struct NtkEvaluator {
     config: NtkConfig,
-    backend: Arc<dyn KernelBackend>,
+    backend: KernelBackend,
 }
 
 impl NtkEvaluator {
@@ -138,19 +136,19 @@ impl NtkEvaluator {
     pub fn new(config: NtkConfig) -> Self {
         Self {
             config,
-            backend: paper_default_backend(),
+            backend: KernelBackend::BlockedGemm,
         }
     }
 
     /// Returns a copy running on an explicit execution backend.
-    pub fn with_backend(mut self, backend: Arc<dyn KernelBackend>) -> Self {
+    pub fn with_backend(mut self, backend: KernelBackend) -> Self {
         self.backend = backend;
         self
     }
 
     /// The execution backend in force.
-    pub fn backend(&self) -> &Arc<dyn KernelBackend> {
-        &self.backend
+    pub fn backend(&self) -> KernelBackend {
+        self.backend
     }
 
     /// The evaluator's configuration.
@@ -266,12 +264,8 @@ impl NtkEvaluator {
                 net_config.input_resolution,
                 repeat as u64,
             )?;
-            let pack = CellNetworkPack::with_backend(
-                cells,
-                &net_config,
-                repeat_seed,
-                self.backend.clone(),
-            )?;
+            let pack =
+                CellNetworkPack::with_backend(cells, &net_config, repeat_seed, self.backend)?;
             let n = batch.images.shape().dims()[0];
             let matrices = pack.per_sample_gradient_matrices_with(&batch.images, workspace)?;
             for (acc, j) in accs.iter_mut().zip(matrices) {

@@ -99,7 +99,7 @@ pub fn fingerprint_network(mut h: u64, net: &ProxyNetworkConfig) -> u64 {
 /// nothing, so pre-existing fingerprints (and every record persisted under
 /// them) stay valid. Public so external [`Proxy`] implementations that
 /// thread a backend apply the same rule.
-pub fn fold_backend(h: u64, backend: &dyn micronas_tensor::KernelBackend) -> u64 {
+pub fn fold_backend(h: u64, backend: micronas_tensor::KernelBackend) -> u64 {
     if backend.bitwise_paper_identical() {
         h
     } else {
@@ -159,7 +159,7 @@ impl Proxy for NtkProxy {
         h = hash_mix(h, c.repeats as u64);
         h = hash_mix(h, c.max_condition_index as u64);
         h = fingerprint_network(h, &c.network);
-        fold_backend(h, self.evaluator.backend().as_ref())
+        fold_backend(h, self.evaluator.backend())
     }
 
     fn evaluate_with(
@@ -221,7 +221,7 @@ impl Proxy for LinearRegionProxy {
         h = hash_mix(h, c.num_segments as u64);
         h = hash_mix(h, c.points_per_segment as u64);
         h = fingerprint_network(h, &c.network);
-        fold_backend(h, self.evaluator.backend().as_ref())
+        fold_backend(h, self.evaluator.backend())
     }
 
     fn evaluate_with(

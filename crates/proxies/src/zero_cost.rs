@@ -65,10 +65,10 @@ impl ZeroCostEvaluator {
     pub fn with_backend(
         ntk: NtkConfig,
         lr: LinearRegionConfig,
-        backend: std::sync::Arc<dyn micronas_tensor::KernelBackend>,
+        backend: micronas_tensor::KernelBackend,
     ) -> Self {
         Self {
-            ntk: NtkEvaluator::new(ntk).with_backend(backend.clone()),
+            ntk: NtkEvaluator::new(ntk).with_backend(backend),
             linear_regions: LinearRegionEvaluator::new(lr).with_backend(backend),
         }
     }

@@ -8,7 +8,7 @@
 //! Two implementations exist for every kernel:
 //!
 //! * **Direct** loops: simple quadruple loops, the bodies behind
-//!   [`crate::DirectBackend`]. They are the correctness oracle — the
+//!   [`crate::KernelBackend::Direct`]. They are the correctness oracle — the
 //!   property tests check the GEMM path against them — and the faster
 //!   choice for very small problems where lowering overhead dominates.
 //! * **GEMM**: each image's column matrix (`[C_in·K·K, OH·OW]`) is
@@ -30,7 +30,7 @@
 //!   The backward kernels keep explicit column matrices (im2col, col2im).
 //!
 //! The dispatching kernels here are the bodies of the paper-default
-//! [`crate::BlockedGemmBackend`]: they run the direct loops below
+//! [`crate::KernelBackend::BlockedGemm`]: they run the direct loops below
 //! [`DIRECT_MAC_THRESHOLD`] MACs and GEMM above it, a pure function of the
 //! shape. Everything outside this crate reaches them through
 //! [`crate::KernelBackend`].
@@ -125,11 +125,25 @@ pub(crate) fn below_direct_threshold(
     n * c_out * c_in * k * k * oh * ow < DIRECT_MAC_THRESHOLD
 }
 
+/// Rejects a zero kernel or stride: the window check every conv and pool
+/// entry runs before any output size is computed (a zero stride would
+/// divide by zero there). [`Conv2dSpec::new`] asserts the same, but its
+/// fields are public and deserializable.
+pub(crate) fn check_window(kernel: usize, stride: usize) -> Result<()> {
+    if kernel == 0 || stride == 0 {
+        return Err(TensorError::InvalidArgument(format!(
+            "kernel and stride must be positive (kernel {kernel}, stride {stride})"
+        )));
+    }
+    Ok(())
+}
+
 pub(crate) fn check_conv_args(
     input: &Tensor,
     weight: &Tensor,
     spec: Conv2dSpec,
 ) -> Result<(usize, usize, usize, usize, usize, usize)> {
+    check_window(spec.kernel, spec.stride)?;
     let id = input.shape().dims();
     let wd = weight.shape().dims();
     if id.len() != 4 {
@@ -300,7 +314,7 @@ pub(crate) fn col2im_add(
 // Forward
 // ---------------------------------------------------------------------------
 
-/// Forward 2-D convolution, the body of [`crate::BlockedGemmBackend`]'s
+/// Forward 2-D convolution, the body of [`crate::KernelBackend::BlockedGemm`]'s
 /// `conv2d`.
 ///
 /// `input` is `[N, C_in, H, W]`, `weight` is `[C_out, C_in, K, K]`; the
@@ -594,15 +608,7 @@ pub(crate) fn conv2d_forward_packed_pooled(
         return Ok(Vec::new());
     };
     let (n, c_in, h, w, c_out, k) = check_conv_args(first, weight, spec)?;
-    for input in &inputs[1..] {
-        if input.shape() != first.shape() {
-            return Err(TensorError::IncompatibleShapes {
-                op: "conv2d_forward_packed (inputs)",
-                lhs: first.shape().dims().to_vec(),
-                rhs: input.shape().dims().to_vec(),
-            });
-        }
-    }
+    check_pack_shapes(inputs)?;
     let (oh, ow) = spec.output_hw(h, w);
     if below_direct_threshold(n, c_in, c_out, k, oh, ow) {
         // Identical geometry means every input makes the same dispatch
@@ -626,12 +632,26 @@ pub(crate) fn conv2d_forward_packed_pooled(
         .collect())
 }
 
+/// Checks that every input of a packed forward has the first input's shape.
+pub(crate) fn check_pack_shapes(inputs: &[&Tensor]) -> Result<()> {
+    if let Some((first, rest)) = inputs.split_first() {
+        if let Some(input) = rest.iter().find(|input| input.shape() != first.shape()) {
+            return Err(TensorError::IncompatibleShapes {
+                op: "conv2d_forward_packed (inputs)",
+                lhs: first.shape().dims().to_vec(),
+                rhs: input.shape().dims().to_vec(),
+            });
+        }
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Weight gradient
 // ---------------------------------------------------------------------------
 
 /// Gradient of the convolution output with respect to its weights, summed
-/// over the batch: the body of [`crate::BlockedGemmBackend`]'s
+/// over the batch: the body of [`crate::KernelBackend::BlockedGemm`]'s
 /// `conv2d_backward_weight`.
 ///
 /// Given the forward `input` and the upstream gradient `grad_out`
@@ -725,7 +745,7 @@ pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f
 /// `[C_out, C_in, K, K]` gradient per batch element, **not** summed over the
 /// batch; sample `b`'s flattened gradient lands at
 /// `out[b * row_stride + offset ..][.. c_out·c_in·k²]`. The body of
-/// [`crate::BlockedGemmBackend`]'s `conv2d_backward_weight_per_sample_into`.
+/// [`crate::KernelBackend::BlockedGemm`]'s `conv2d_backward_weight_per_sample_into`.
 ///
 /// This is the kernel behind batched per-sample gradients for the NTK Gram
 /// matrix: one shared im2col lowering per sample feeds one `A · Bᵀ` GEMM per
@@ -858,6 +878,24 @@ pub struct PackedGradSlot<'a> {
     pub offset: usize,
 }
 
+/// Checks that a packed per-sample backward has one gradient and one slot
+/// per input.
+pub(crate) fn check_pack_arity(
+    inputs: &[&Tensor],
+    grad_outs: &[&Tensor],
+    slots: &[PackedGradSlot<'_>],
+) -> Result<()> {
+    if inputs.len() != grad_outs.len() || inputs.len() != slots.len() {
+        return Err(TensorError::InvalidArgument(format!(
+            "packed per-sample backward arity mismatch: {} inputs, {} grads, {} slots",
+            inputs.len(),
+            grad_outs.len(),
+            slots.len()
+        )));
+    }
+    Ok(())
+}
+
 /// `true` when `a` and `b` hold bitwise-identical f32 payloads.
 fn bitwise_eq(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -898,14 +936,7 @@ pub(crate) fn conv2d_backward_weight_per_sample_packed_into(
     workspace: &mut Workspace,
     slots: &mut [PackedGradSlot<'_>],
 ) -> Result<()> {
-    if inputs.len() != grad_outs.len() || inputs.len() != slots.len() {
-        return Err(TensorError::InvalidArgument(format!(
-            "packed per-sample backward arity mismatch: {} inputs, {} grads, {} slots",
-            inputs.len(),
-            grad_outs.len(),
-            slots.len()
-        )));
-    }
+    check_pack_arity(inputs, grad_outs, slots)?;
     let Some(first) = inputs.first() else {
         return Ok(());
     };
@@ -1074,6 +1105,7 @@ pub(crate) fn check_backward_weight_args(
     c_out: usize,
     spec: Conv2dSpec,
 ) -> Result<(usize, usize, usize, usize, usize, usize)> {
+    check_window(spec.kernel, spec.stride)?;
     let id = input.shape().dims();
     if id.len() != 4 {
         return Err(TensorError::RankMismatch {
@@ -1154,7 +1186,7 @@ pub(crate) fn conv2d_backward_weight_unchecked(
 // ---------------------------------------------------------------------------
 
 /// Gradient of the convolution output with respect to its input: the body
-/// of [`crate::BlockedGemmBackend`]'s `conv2d_backward_input`. Dispatches
+/// of [`crate::KernelBackend::BlockedGemm`]'s `conv2d_backward_input`. Dispatches
 /// like [`conv2d_pooled`] and draws the output tensor from the workspace
 /// recycling pool.
 ///
@@ -1250,6 +1282,7 @@ pub(crate) fn check_backward_input_args(
     input_shape: &Shape,
     spec: Conv2dSpec,
 ) -> Result<(usize, usize, usize, usize, usize, usize, usize)> {
+    check_window(spec.kernel, spec.stride)?;
     let id = input_shape.dims();
     if id.len() != 4 {
         return Err(TensorError::RankMismatch {
@@ -1323,7 +1356,7 @@ pub(crate) fn conv2d_backward_input_unchecked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeterministicRng, DirectBackend, KernelBackend};
+    use crate::{DeterministicRng, KernelBackend};
     use proptest::prelude::*;
 
     fn random_tensor(shape: Shape, seed: u64) -> Tensor {
@@ -1372,7 +1405,7 @@ mod tests {
         let weight = Tensor::zeros(Shape::nchw(2, 4, 3, 3));
         let spec = Conv2dSpec::new(3, 1, 1);
         assert!(conv(&input, &weight, spec).is_err());
-        assert!(DirectBackend
+        assert!(KernelBackend::Direct
             .conv2d(&input, &weight, spec, &mut Workspace::default())
             .is_err());
     }
@@ -1383,7 +1416,7 @@ mod tests {
         let weight = Tensor::zeros(Shape::nchw(1, 1, 3, 3));
         let spec = Conv2dSpec::new(1, 1, 0);
         assert!(conv(&input, &weight, spec).is_err());
-        assert!(DirectBackend
+        assert!(KernelBackend::Direct
             .conv2d(&input, &weight, spec, &mut Workspace::default())
             .is_err());
     }
@@ -1699,7 +1732,7 @@ mod tests {
             gi.data_mut(),
         );
 
-        let oracle = DirectBackend;
+        let oracle = KernelBackend::Direct;
         let fwd_ref = oracle.conv2d(&input, &weight, spec, &mut ws).unwrap();
         let gw_ref = oracle
             .conv2d_backward_weight(&input, &grad_out, c_out, spec, &mut ws)
@@ -2036,7 +2069,7 @@ mod tests {
                     &input, &grad_out, c_out, spec, &mut ws, gemm.data_mut(), p, 0,
                 );
                 let mut reference = Tensor::zeros(shape);
-                DirectBackend
+                KernelBackend::Direct
                     .conv2d_backward_weight_per_sample_into(
                         &input, &grad_out, c_out, spec, &mut ws, reference.data_mut(), p, 0,
                     )

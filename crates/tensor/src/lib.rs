@@ -12,22 +12,20 @@
 //!
 //! # Execution backends
 //!
-//! Every conv and pool kernel is reached through the object-safe
-//! [`KernelBackend`] trait (see the `backend` module docs); no conv or pool
-//! kernel is a public free function. Three backends ship:
+//! Every conv and pool kernel is reached through the [`KernelBackend`]
+//! enum (see the `backend` module docs); no conv or pool kernel is a public
+//! free function. Two backends ship:
 //!
-//! * [`DirectBackend`] — naive loops, the correctness oracle;
-//! * [`BlockedGemmBackend`] — the paper default: direct loops below a small
-//!   MAC threshold (a pure function of the shape), cache-blocked GEMM
-//!   ([`gemm_nn`], [`gemm_nt`], [`gemm_tn`]) over each image's column
+//! * [`KernelBackend::Direct`] — naive loops, the correctness oracle;
+//! * [`KernelBackend::BlockedGemm`] — the paper default: direct loops below
+//!   a small MAC threshold (a pure function of the shape), cache-blocked
+//!   GEMM ([`gemm_nn`], [`gemm_nt`], [`gemm_tn`]) over each image's column
 //!   matrix above it, lowered by im2col or, for the paper's stride-1
-//!   conv3×3 forward, read in place from a zero-padded image;
-//! * [`SimdBackend`] — FMA-tiled and rayon-chunked, tolerance-gated.
+//!   conv3×3 forward, read in place from a zero-padded image.
 //!
 //! Every kernel threads a reusable [`Workspace`] scratch arena, so repeated
 //! forward/backward passes (NTK repeats, linear-region probes) stop
-//! allocating. [`all_backends`] is the conformance-suite registry;
-//! [`paper_default_backend`] is the shared default instance.
+//! allocating.
 //!
 //! # Example
 //!
@@ -54,16 +52,11 @@ pub mod ops;
 mod pool;
 mod rng;
 mod shape;
-mod simd;
 mod stats;
 mod tensor;
 mod workspace;
 
-pub use backend::{
-    all_backends, backend_fingerprint, instrument_backend, paper_default_backend,
-    BlockedGemmBackend, DirectBackend, KernelBackend, KernelBackendKind,
-    DEFAULT_ARENA_RETENTION_CAP,
-};
+pub use backend::{KernelBackend, DEFAULT_ARENA_RETENTION_CAP};
 pub use conv::{Conv2dSpec, PackedGradSlot};
 pub use error::TensorError;
 pub use init::{kaiming_normal, kaiming_uniform, xavier_uniform, InitKind};
@@ -74,7 +67,6 @@ pub use linalg::{
 pub use pool::{global_avg_pool, global_avg_pool_backward};
 pub use rng::{hash_mix, split_mix64, DeterministicRng};
 pub use shape::Shape;
-pub use simd::SimdBackend;
 pub use stats::{dot, l2_norm, mean, population_variance, standardize};
 pub use tensor::Tensor;
 pub use workspace::Workspace;

@@ -4,10 +4,36 @@
 //! count-include-pad semantics matching the reference implementation) and a
 //! global average pool feeding the classifier head.
 
+use crate::conv::check_window;
 use crate::{Result, Shape, Tensor, TensorError, Workspace};
 
+/// Validates a pooling window over an NCHW `shape` and returns
+/// `(n, c, h, w, oh, ow)`: the one geometry check both backends' pooling
+/// kernels run, forward and backward.
+pub(crate) fn pool_geometry(
+    op: &'static str,
+    shape: &Shape,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+) -> Result<(usize, usize, usize, usize, usize, usize)> {
+    check_window(kernel, stride)?;
+    let d = shape.dims();
+    if d.len() != 4 {
+        return Err(TensorError::RankMismatch {
+            op,
+            expected: 4,
+            actual: d.len(),
+        });
+    }
+    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+    let oh = (h + 2 * padding).saturating_sub(kernel) / stride + 1;
+    let ow = (w + 2 * padding).saturating_sub(kernel) / stride + 1;
+    Ok((n, c, h, w, oh, ow))
+}
+
 /// Average pooling over `kernel`×`kernel` windows with the given stride and
-/// padding, the body of [`crate::BlockedGemmBackend`]'s `avg_pool2d`.
+/// padding, the body of [`crate::KernelBackend::BlockedGemm`]'s `avg_pool2d`.
 /// Padding contributes zeros and *is* counted in the divisor
 /// (count-include-pad), matching the NAS-Bench-201 reference. The output
 /// tensor is drawn from the workspace recycling pool.
@@ -23,22 +49,7 @@ pub(crate) fn avg_pool2d_pooled(
     workspace: &mut Workspace,
 ) -> Result<Tensor> {
     let _span = micronas_telemetry::span!("tensor.pool");
-    if kernel == 0 || stride == 0 {
-        return Err(TensorError::InvalidArgument(
-            "kernel and stride must be positive".into(),
-        ));
-    }
-    let d = input.shape().dims();
-    if d.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            op: "avg_pool2d",
-            expected: 4,
-            actual: d.len(),
-        });
-    }
-    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-    let oh = (h + 2 * padding).saturating_sub(kernel) / stride + 1;
-    let ow = (w + 2 * padding).saturating_sub(kernel) / stride + 1;
+    let (n, c, h, w, oh, ow) = pool_geometry("avg_pool2d", input.shape(), kernel, stride, padding)?;
     let denom = (kernel * kernel) as f32;
     let out_shape = Shape::nchw(n, c, oh, ow);
     // Every output row is filled before use, so an unspecified-content
@@ -89,7 +100,8 @@ pub(crate) fn avg_pool2d_pooled(
 ///
 /// # Errors
 ///
-/// Returns an error if shapes are inconsistent.
+/// Returns an error if shapes are inconsistent or `kernel`/`stride` is
+/// zero.
 pub(crate) fn avg_pool2d_backward_pooled(
     grad_out: &Tensor,
     input_shape: &Shape,
@@ -98,17 +110,8 @@ pub(crate) fn avg_pool2d_backward_pooled(
     padding: usize,
     workspace: &mut Workspace,
 ) -> Result<Tensor> {
-    let d = input_shape.dims();
-    if d.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            op: "avg_pool2d_backward",
-            expected: 4,
-            actual: d.len(),
-        });
-    }
-    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-    let oh = (h + 2 * padding).saturating_sub(kernel) / stride + 1;
-    let ow = (w + 2 * padding).saturating_sub(kernel) / stride + 1;
+    let (n, c, h, w, oh, ow) =
+        pool_geometry("avg_pool2d_backward", input_shape, kernel, stride, padding)?;
     if grad_out.shape().dims() != [n, c, oh, ow] {
         return Err(TensorError::IncompatibleShapes {
             op: "avg_pool2d_backward",

@@ -7,8 +7,7 @@
 
 use micronas_telemetry::{install_scoped, Collector};
 use micronas_tensor::{
-    BlockedGemmBackend, Conv2dSpec, DeterministicRng, KernelBackend, PackedGradSlot, Shape, Tensor,
-    Workspace,
+    Conv2dSpec, DeterministicRng, KernelBackend, PackedGradSlot, Shape, Tensor, Workspace,
 };
 use std::sync::Arc;
 
@@ -34,7 +33,7 @@ fn every_conv_gemm_kernel_counts_one_call_at_batch_seven() {
     // Both geometries sit above the direct-kernel threshold per sample, so
     // every kernel takes its GEMM path; the 1×1 conv multiplies the image
     // itself and the 3×3 conv lowers it.
-    let backend = BlockedGemmBackend;
+    let backend = KernelBackend::BlockedGemm;
     for spec in [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(1, 1, 0)] {
         let k = spec.kernel;
         let input = random_tensor(Shape::nchw(n, c, hw, hw), 1);

@@ -12,9 +12,7 @@
 //! other test's work.
 
 use micronas_telemetry::{install_scoped, Collector};
-use micronas_tensor::{
-    BlockedGemmBackend, Conv2dSpec, DeterministicRng, KernelBackend, Shape, Tensor, Workspace,
-};
+use micronas_tensor::{Conv2dSpec, DeterministicRng, KernelBackend, Shape, Tensor, Workspace};
 use std::sync::Arc;
 
 fn random_tensor(shape: Shape, seed: u64) -> Tensor {
@@ -32,7 +30,7 @@ fn packed_forward_stages_one_image_of_the_paper_ntk_bucket() {
         .map(|p| random_tensor(Shape::nchw(n, c, hw, hw), 10 + p as u64))
         .collect();
     let refs: Vec<&Tensor> = inputs.iter().collect();
-    let backend = BlockedGemmBackend;
+    let backend = KernelBackend::BlockedGemm;
 
     let collector = Arc::new(Collector::new());
     let mut ws = Workspace::new();

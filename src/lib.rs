@@ -60,21 +60,19 @@
 //!
 //! Every kernel the proxy networks run — convolution forward/backward,
 //! per-sample weight gradients, pooling, the linear-layer GEMMs and the NTK
-//! Gram build — dispatches through the object-safe
-//! [`tensor::KernelBackend`] trait, the only public way to run a conv or
-//! pool kernel. Three backends ship ([`tensor::all_backends`] is the
-//! conformance-suite registry):
+//! Gram build — dispatches through the [`tensor::KernelBackend`] enum, the
+//! only public way to run a conv or pool kernel. It is a `Copy` value with
+//! two variants; each method `match`es straight to the variant's kernel
+//! body:
 //!
 //! | backend (`id`) | what it is | numerics |
 //! |----------------|------------|----------|
-//! | [`tensor::DirectBackend`] (`"direct"`) | naive-loop oracle | reference |
-//! | [`tensor::BlockedGemmBackend`] (`"blocked_gemm"`) | im2col + cache-blocked GEMM, the **paper default** | bitwise-identical to the pre-backend pipeline |
-//! | [`tensor::SimdBackend`] (`"simd"`) | hand-tiled AVX2+FMA micro-kernels, fixed-size rayon batch chunking | FMA-contracted; tolerance-gated, bitwise-deterministic at any thread count |
+//! | [`tensor::KernelBackend::Direct`] (`"direct"`) | naive-loop oracle | reference |
+//! | [`tensor::KernelBackend::BlockedGemm`] (`"blocked_gemm"`) | im2col + cache-blocked GEMM, the **paper default** | bitwise-identical to the pre-backend pipeline |
 //!
 //! Selection threads through every layer: `MicroNasConfig::with_backend`
-//! and `SearchSession::builder().backend(..)` pick a
-//! [`tensor::KernelBackendKind`] for a whole search;
-//! `CellNetwork::with_backend`, `NtkEvaluator::with_backend` and
+//! and `SearchSession::builder().backend(..)` pick a backend for a whole
+//! search; `CellNetwork::with_backend`, `NtkEvaluator::with_backend` and
 //! `LinearRegionEvaluator::with_backend` pin individual networks and
 //! evaluators. No process-global setting changes which kernel runs: the
 //! paper default's direct-vs-GEMM choice is a pure function of the shape.
@@ -122,9 +120,9 @@
 //! direct-vs-GEMM dispatch decision, same GEMM shapes, same per-member
 //! accumulation order — and share work only between bitwise-equal
 //! operands (equal input bytes are lowered to one im2col panel; equal
-//! bytes in, equal bytes out). The blocked-GEMM backend overrides the
-//! packed weight-gradient and forward entry points; every other backend
-//! inherits a per-member loop with identical numerics. A solo evaluation
+//! bytes in, equal bytes out). The blocked-GEMM backend has its own
+//! packed weight-gradient and forward kernels; every other packed entry
+//! point is a per-member loop with identical numerics. A solo evaluation
 //! is the same sweep over a pack of one. The cross-product is pinned in CI
 //! (`crates/core/tests/strategy_conformance.rs` over strategies × widths
 //! × threads; `tests/backend_conformance.rs` over gradient backends ×
@@ -155,7 +153,9 @@
 //!   allocation on the hot path, thread-aware via sharded maps.
 //! * **A metrics registry** — named atomic counters and gauges behind the
 //!   [`telemetry::TelemetrySink`] trait: kernel dispatch counts per backend
-//!   (`tensor.backend.blocked_gemm.*`), im2col bytes, workspace high-water,
+//!   (`tensor.backend.{direct,blocked_gemm}.*`, one count per public kernel
+//!   call, pinned by `tests/backend_dispatch_counters.rs`), im2col bytes,
+//!   workspace high-water,
 //!   store hits/misses/evictions, pack fill counters (`search.pack.*`).
 //!   The default [`telemetry::NullSink`] keeps the disabled fast path — one
 //!   relaxed atomic load per probe.

@@ -1,26 +1,26 @@
 //! Network-level backend conformance: random cells and batch sizes through
-//! [`CellNetwork`] on every registered backend, plus the cross-layer
-//! contracts the backend seam promises:
+//! [`CellNetwork`] on both backends, plus the cross-layer contracts the
+//! backend seam promises:
 //!
 //! * the paper-default backend is **bitwise-identical** to the pre-backend
 //!   pipeline at the network and proxy level;
-//! * every backend reproduces the direct oracle's per-sample gradient
-//!   matrix within its tolerance;
-//! * numerically divergent backends land in their own store namespace, so a
-//!   default-numerics store is refused instead of being poisoned;
-//! * the SIMD backend's batch chunking is bitwise-deterministic at any
-//!   thread count.
+//! * both backends reproduce the direct oracle's per-sample gradient matrix
+//!   within tolerance;
+//! * the numerically divergent `direct` backend lands in its own store
+//!   namespace, so a default-numerics store is refused instead of being
+//!   poisoned, and its identity (namespace, backend and proxy fingerprints)
+//!   is pinned.
 
 use micronas_suite::core::MicroNasConfig;
 use micronas_suite::datasets::DatasetKind;
 use micronas_suite::nn::{CellNetwork, ProxyNetworkConfig};
-use micronas_suite::proxies::{LinearRegionConfig, NtkConfig, NtkEvaluator};
+use micronas_suite::proxies::{
+    LinearRegionConfig, LinearRegionEvaluator, LinearRegionProxy, NtkConfig, NtkEvaluator,
+    NtkProxy, Proxy,
+};
 use micronas_suite::searchspace::{Operation, SearchSpace};
 use micronas_suite::store::EvalStore;
-use micronas_suite::tensor::{
-    all_backends, paper_default_backend, DeterministicRng, KernelBackendKind, Shape, Tensor,
-    Workspace,
-};
+use micronas_suite::tensor::{DeterministicRng, KernelBackend, Shape, Tensor, Workspace};
 use std::sync::Arc;
 
 fn random_batch(config: &ProxyNetworkConfig, n: usize, seed: u64) -> Tensor {
@@ -74,15 +74,10 @@ fn every_backend_reproduces_the_oracle_network_forward() {
     let config = tiny_config();
     for (c_idx, cell) in conformance_cells().into_iter().enumerate() {
         let seed = 11 + c_idx as u64;
-        let oracle = CellNetwork::with_backend(
-            &cell,
-            &config,
-            seed,
-            KernelBackendKind::Direct.instantiate(),
-        )
-        .unwrap();
-        for backend in all_backends() {
-            let net = CellNetwork::with_backend(&cell, &config, seed, backend.clone()).unwrap();
+        let oracle =
+            CellNetwork::with_backend(&cell, &config, seed, KernelBackend::Direct).unwrap();
+        for backend in KernelBackend::all() {
+            let net = CellNetwork::with_backend(&cell, &config, seed, backend).unwrap();
             for n in [1usize, 2, 5] {
                 let batch = random_batch(&config, n, 100 + n as u64);
                 let got = net.forward(&batch).unwrap().logits;
@@ -103,15 +98,10 @@ fn gradient_backends_reproduce_the_oracle_gradient_matrix() {
     let config = tiny_config();
     for (c_idx, cell) in conformance_cells().into_iter().enumerate() {
         let seed = 31 + c_idx as u64;
-        let oracle = CellNetwork::with_backend(
-            &cell,
-            &config,
-            seed,
-            KernelBackendKind::Direct.instantiate(),
-        )
-        .unwrap();
-        for backend in all_backends() {
-            let net = CellNetwork::with_backend(&cell, &config, seed, backend.clone()).unwrap();
+        let oracle =
+            CellNetwork::with_backend(&cell, &config, seed, KernelBackend::Direct).unwrap();
+        for backend in KernelBackend::all() {
+            let net = CellNetwork::with_backend(&cell, &config, seed, backend).unwrap();
             for n in [1usize, 3, 7] {
                 let batch = random_batch(&config, n, 200 + n as u64);
                 let mut ws = Workspace::default();
@@ -140,7 +130,8 @@ fn paper_default_backend_is_bitwise_identical_at_network_and_proxy_level() {
     let cell = space.cell(8_888).unwrap();
     let config = tiny_config();
     let implicit = CellNetwork::new(&cell, &config, 5).unwrap();
-    let explicit = CellNetwork::with_backend(&cell, &config, 5, paper_default_backend()).unwrap();
+    let explicit =
+        CellNetwork::with_backend(&cell, &config, 5, KernelBackend::BlockedGemm).unwrap();
     let batch = random_batch(&config, 3, 6);
     assert_eq!(
         implicit.forward(&batch).unwrap().logits,
@@ -149,8 +140,7 @@ fn paper_default_backend_is_bitwise_identical_at_network_and_proxy_level() {
     );
 
     let default_eval = NtkEvaluator::new(NtkConfig::fast());
-    let pinned = NtkEvaluator::new(NtkConfig::fast())
-        .with_backend(KernelBackendKind::BlockedGemm.instantiate());
+    let pinned = NtkEvaluator::new(NtkConfig::fast()).with_backend(KernelBackend::BlockedGemm);
     let a = default_eval
         .evaluate(cell, DatasetKind::Cifar10, 2)
         .unwrap();
@@ -164,32 +154,74 @@ fn paper_default_backend_is_bitwise_identical_at_network_and_proxy_level() {
 #[test]
 fn divergent_backends_get_their_own_store_namespace() {
     let default_cfg = MicroNasConfig::tiny_test();
-    let simd_cfg = MicroNasConfig::tiny_test().with_backend(KernelBackendKind::Simd);
-    assert_ne!(default_cfg.store_namespace(), simd_cfg.store_namespace());
+    let direct_cfg = MicroNasConfig::tiny_test().with_backend(KernelBackend::Direct);
+    assert_ne!(default_cfg.store_namespace(), direct_cfg.store_namespace());
 
-    // A store minted for the default numerics is refused under the SIMD
+    // A store minted for the default numerics is refused under the direct
     // configuration — the namespace check fires before any record could be
     // served or appended.
     let store = Arc::new(EvalStore::in_memory(default_cfg.store_namespace()));
     let err = micronas_suite::core::SearchContext::with_store(
         DatasetKind::Cifar10,
-        &simd_cfg,
+        &direct_cfg,
         store.clone(),
     )
     .unwrap_err();
     assert!(err.to_string().contains("namespace"), "{err}");
 
-    // Under its own namespace the SIMD configuration works end-to-end.
-    let simd_store = Arc::new(EvalStore::in_memory(simd_cfg.store_namespace()));
+    // Under its own namespace the direct configuration works end-to-end.
+    let direct_store = Arc::new(EvalStore::in_memory(direct_cfg.store_namespace()));
     let ctx = micronas_suite::core::SearchContext::with_store(
         DatasetKind::Cifar10,
-        &simd_cfg,
-        simd_store,
+        &direct_cfg,
+        direct_store,
     )
     .unwrap();
     let space = SearchSpace::nas_bench_201();
     let eval = ctx.evaluate(space.cell(123).unwrap()).unwrap();
     assert!(eval.metrics.get("trainability").unwrap().is_finite());
+}
+
+/// Golden values of the `direct` identity: store namespaces, the backend
+/// fingerprint and the proxy fingerprints it folds into. Persisted logs are
+/// keyed by them, so they must never drift across refactors.
+#[test]
+fn direct_identity_is_pinned() {
+    let direct = KernelBackend::Direct;
+    let namespaces = [
+        MicroNasConfig::paper_default()
+            .with_backend(direct)
+            .store_namespace(),
+        MicroNasConfig::tiny_test()
+            .with_backend(direct)
+            .store_namespace(),
+    ];
+    assert_eq!(namespaces, [0x2014_b4cd_1523_5dc1, 0xfe24_98d8_bffe_a04d]);
+    assert_eq!(direct.config_fingerprint(), 0x8c0d_cad2_495c_a7d4);
+    for (backend, ntk, lr) in [
+        (direct, 0x5c73_18bb_a266_4445, 0x83c4_c6e1_cb0a_6a7e),
+        (
+            KernelBackend::BlockedGemm,
+            0x203e_6e10_8cd6_b714,
+            0x844f_c30f_e10e_9fed,
+        ),
+    ] {
+        let ntk_proxy = NtkProxy::from_evaluator(
+            NtkEvaluator::new(NtkConfig::paper_default()).with_backend(backend),
+        );
+        let lr_proxy = LinearRegionProxy::from_evaluator(
+            LinearRegionEvaluator::new(LinearRegionConfig::paper_default()).with_backend(backend),
+        );
+        assert_eq!(
+            [
+                ntk_proxy.config_fingerprint(),
+                lr_proxy.config_fingerprint()
+            ],
+            [ntk, lr],
+            "{} proxy fingerprints",
+            backend.id()
+        );
+    }
 }
 
 /// Cross-candidate mega-batching at the proxy level: for every
@@ -201,15 +233,12 @@ fn packed_proxy_evaluation_is_bitwise_identical_on_every_bitwise_backend() {
     use micronas_suite::proxies::ZeroCostEvaluator;
     use rayon::ThreadPoolBuilder;
     let cells = conformance_cells();
-    for backend in all_backends() {
+    for backend in KernelBackend::all() {
         if !backend.bitwise_paper_identical() {
             continue;
         }
-        let evaluator = ZeroCostEvaluator::with_backend(
-            NtkConfig::fast(),
-            LinearRegionConfig::fast(),
-            backend.clone(),
-        );
+        let evaluator =
+            ZeroCostEvaluator::with_backend(NtkConfig::fast(), LinearRegionConfig::fast(), backend);
         let solo: Vec<_> = cells
             .iter()
             .map(|&cell| evaluator.evaluate(cell, DatasetKind::Cifar10, 7).unwrap())
@@ -250,8 +279,8 @@ fn packed_proxy_evaluation_is_bitwise_identical_on_every_bitwise_backend() {
 fn packed_backward_sweep_is_bitwise_identical_on_every_gradient_backend() {
     use rayon::ThreadPoolBuilder;
     let cells = conformance_cells();
-    for backend in all_backends() {
-        let evaluator = NtkEvaluator::new(NtkConfig::fast()).with_backend(backend.clone());
+    for backend in KernelBackend::all() {
+        let evaluator = NtkEvaluator::new(NtkConfig::fast()).with_backend(backend);
         for width in [1usize, 2, 8] {
             for threads in [1usize, 4] {
                 let pool = ThreadPoolBuilder::new()
@@ -287,36 +316,5 @@ fn packed_backward_sweep_is_bitwise_identical_on_every_gradient_backend() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn simd_backend_is_bitwise_deterministic_across_thread_counts() {
-    use rayon::ThreadPoolBuilder;
-    let config = tiny_config();
-    let space = SearchSpace::nas_bench_201();
-    let cell = space.cell(11_111).unwrap();
-    let net = CellNetwork::with_backend(&cell, &config, 3, KernelBackendKind::Simd.instantiate())
-        .unwrap();
-    let batch = random_batch(&config, 9, 4);
-    let run = |threads: usize| {
-        ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap()
-            .install(|| {
-                let mut ws = Workspace::default();
-                let logits = net.forward_with(&batch, &mut ws).unwrap().logits;
-                let grads = net
-                    .per_sample_gradient_matrix_with(&batch, &mut ws)
-                    .unwrap();
-                (logits, grads.values().to_vec())
-            })
-    };
-    let (logits_1, grads_1) = run(1);
-    for threads in [2, 4, 7] {
-        let (logits_n, grads_n) = run(threads);
-        assert_eq!(logits_1, logits_n, "forward at {threads} threads");
-        assert_eq!(grads_1, grads_n, "gradients at {threads} threads");
     }
 }

@@ -11,7 +11,7 @@ use micronas_suite::mcu::{CycleModel, McuSpec};
 use micronas_suite::searchspace::{LayerRole, OpClass, OpInstance, Operation};
 use micronas_suite::telemetry::{install_scoped, Collector};
 use micronas_suite::tensor::{
-    BlockedGemmBackend, Conv2dSpec, DeterministicRng, KernelBackend, Shape, Tensor, Workspace,
+    Conv2dSpec, DeterministicRng, KernelBackend, Shape, Tensor, Workspace,
 };
 use std::sync::Arc;
 
@@ -32,7 +32,7 @@ fn blocked_gemm_column_bytes_match_the_mcu_cycle_model_macs() {
     let collector = Arc::new(Collector::new());
     {
         let _scope = install_scoped(collector.clone());
-        BlockedGemmBackend
+        KernelBackend::BlockedGemm
             .conv2d(
                 &input,
                 &weight,
